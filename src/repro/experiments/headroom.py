@@ -22,7 +22,8 @@ With ``--store DIR`` every solver result is cached content-addressed
 (see :mod:`repro.optsched.cache`); a second run against the same store
 resolves every (loop, machine, II) instance from the cache, which
 ``benchmarks/bench_optsched_headroom.py`` uses to measure the warm-store
-speedup.  Results land in ``results/headroom.txt``.
+speedup.  A full-corpus run writes ``results/headroom.txt``; a
+``--workloads`` subset only prints its table.
 """
 
 from __future__ import annotations
@@ -272,7 +273,9 @@ def main(argv=None) -> int:
         description="heuristic-vs-optimal scheduling headroom report",
     )
     ap.add_argument("--workloads", metavar="A,B,...",
-                    help="comma-separated subset (default: all 40)")
+                    help="comma-separated subset (default: all 40); a "
+                         "subset is printed, results/headroom.txt is not "
+                         "rewritten")
     ap.add_argument("--level", type=int, default=4,
                     choices=[int(l) for l in Level])
     ap.add_argument("--width", type=int, default=8)
@@ -305,12 +308,14 @@ def main(argv=None) -> int:
                         store=store, verbose=args.verbose)
     text = format_report(data)
     print(text)
+    if wls is None:
+        # only the full corpus may rewrite the canonical artifact: a
+        # subset table would contradict BENCH_optsched.json
+        from .sweep import default_cache_path
 
-    from .sweep import default_cache_path
-
-    outdir = default_cache_path().parent
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "headroom.txt").write_text(text + "\n")
+        outdir = default_cache_path().parent
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "headroom.txt").write_text(text + "\n")
 
     bad = [r.name for r in data.rows
            if r.optimal_makespan > r.heuristic_makespan]

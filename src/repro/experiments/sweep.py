@@ -19,6 +19,9 @@ exploits both:
   schedules a clone per width instead of recompiling from scratch
   4 times.  Classical optimization is additionally level-independent, so
   each worker process runs it once per workload (all levels share it).
+  :func:`evaluate_cell` is the one implementation of a cell; the sweep,
+  :func:`run_config` and the service's ``compute_cell`` format its
+  records.
 * **Process parallelism.**  ``jobs > 1`` fans tasks out over a
   ``fork``-based process pool.  Results are merged deterministically
   (sorted by grid key), so serial and parallel sweeps are bit-identical.
@@ -40,6 +43,7 @@ refresh).
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -51,7 +55,9 @@ from pathlib import Path
 
 from ..harness import (
     BatchedRunner,
+    CompiledKernel,
     ConvKernel,
+    KernelRun,
     ilp_transform,
     lower_conv,
     run_compiled_kernel,
@@ -60,7 +66,7 @@ from ..harness import (
 from ..machine import MachineConfig
 from ..passes import PassOptions
 from ..pipeline import Level
-from ..regalloc import measure_register_usage
+from ..regalloc import RegisterUsage, measure_register_usage
 from ..resilience.errors import clean_orphan_tmps
 from ..resilience.supervisor import (
     CellQuarantined,
@@ -96,6 +102,7 @@ class ConfigResult:
     #: wall-clock phase costs.  Compilation work shared across the widths
     #: of a task (classical + ILP transformation) is attributed to the
     #: width that actually paid it (the task's first width), not smeared.
+    #: ``t_schedule`` covers scheduling and register-usage measurement.
     t_compile: float = 0.0
     t_schedule: float = 0.0
     t_simulate: float = 0.0
@@ -161,10 +168,10 @@ class SweepData:
 #: worker process sees.  The time it cost rides along and is charged to
 #: the first task that needs it (``_conv_cached`` pops the cost).
 _CONV_CACHE: dict[tuple, tuple[ConvKernel, float]] = {}
-#: inputs are read-only (``check_run`` copies before mutating;
-#: ``Memory.bind_array`` copies into simulated memory), so one binding
-#: per (workload, seed) serves every configuration.
-_INPUT_CACHE: dict[tuple[str, int], tuple[dict, dict]] = {}
+#: input sets kept per process: at least the corpus size, so a grid at
+#: one seed never evicts, while a served worker seeing fresh seeds stays
+#: bounded
+INPUT_CACHE_SIZE = 64
 
 
 def _conv_cached(
@@ -187,116 +194,138 @@ def _conv_cached(
     return conv, dt
 
 
-def _inputs_cached(w: Workload, seed: int) -> tuple[dict, dict]:
-    key = (w.name, seed)
-    hit = _INPUT_CACHE.get(key)
-    if hit is None:
-        hit = w.make_inputs(seed)
-        _INPUT_CACHE[key] = hit
-    return hit
+@functools.lru_cache(maxsize=INPUT_CACHE_SIZE)
+def _inputs_cached(name: str, seed: int) -> tuple[dict, dict]:
+    """Inputs are read-only (``check_run`` copies before mutating;
+    ``Memory.bind_array`` copies into simulated memory), so one binding
+    per (workload, seed) serves every configuration."""
+    return get_workload(name).make_inputs(seed)
 
 
-def _measure(w: Workload, ck, arrays: dict, scalars: dict, check: bool,
-             t_compile: float, t_sched: float,
-             t_passes: dict[str, float] | None = None,
-             engine: str = "auto") -> ConfigResult:
-    usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
-    t0 = time.perf_counter()
-    run = run_compiled_kernel(ck, arrays=arrays, scalars=scalars,
-                              engine=engine)
-    if check:
-        check_run(w, run.arrays, run.scalars, arrays, scalars)
-    t_sim = time.perf_counter() - t0
-    return ConfigResult(
-        w.name, int(ck.level), ck.machine.issue_width, run.cycles,
-        run.instructions, ck.inner_makespan, usage.int_regs, usage.fp_regs,
-        check, t_compile=t_compile, t_schedule=t_sched, t_simulate=t_sim,
-        t_passes=t_passes if t_passes is not None else {},
-    )
+# ---------------------------------------------------------------------------
+# the cell-evaluation core
+# ---------------------------------------------------------------------------
 
 
-def _charged_pass_seconds(ck, first_width: bool, conv_fresh: bool) -> dict[str, float]:
-    """Per-pass seconds under the t_compile attribution rule: transform
-    phases are charged to the task's first width (and the classical phase
-    only when this task actually paid it), scheduling to every width."""
-    if not first_width:
-        return ck.report.pass_seconds(phases=("schedule",))
-    if conv_fresh:
-        return ck.report.pass_seconds()
-    return ck.report.pass_seconds(phases=("ilp", "cleanup", "schedule"))
+@dataclass
+class CellRecord:
+    """One machine's share of an evaluated (workload, level) cell.  Work
+    the machines share (transformation, the trace-once execution) is
+    charged to the first machine, which paid it."""
+
+    ck: CompiledKernel
+    usage: RegisterUsage
+    #: None when the cell was evaluated with ``simulate=False``
+    run: KernelRun | None
+    t_compile: float
+    #: scheduling plus register-usage measurement
+    t_schedule: float
+    t_simulate: float
+    t_passes: dict[str, float]
 
 
-def _run_task(task: tuple) -> list[ConfigResult]:
-    """Run one (workload, level) cell over the requested widths.
+def evaluate_cell(
+    w: Workload, level: Level, machines: list[MachineConfig], *,
+    seed: int = 0, check: bool = True, check_ir: bool = False,
+    options: PassOptions | None = None, engine: str = "auto",
+    scheduler: str = "list", solver_budget: int | None = None,
+    solver_store=None, simulate: bool = True,
+) -> list[CellRecord]:
+    """Compile, measure and simulate one (workload, level) cell for each
+    of ``machines`` — the operation every grid configuration repeats.
 
-    The ILP transformation runs once on a clone of the cached stage-1
-    result; each width schedules its own clone of the transformed code.
-    With the compiled engine (the default), the cell then *executes*
-    once — the dynamic trace is width-independent — and each width's
-    cycle/instruction counts come from replaying that trace against its
-    own schedule (:class:`repro.harness.BatchedRunner`), bit-identical
-    to simulating every width in full.
+    The ILP transformation observes only latencies, so it runs once, on
+    ``machines[0]`` (all machines must share its ``latency_key()``); each
+    machine schedules a clone and has its register usage measured once.
+    With several machines and the compiled engine the cell *executes*
+    once and each machine replays the trace against its own schedule
+    (:class:`repro.harness.BatchedRunner`), bit-identical to full
+    simulation.  ``check`` validates every fresh execution against the
+    NumPy reference: once per replayed cell, plus any fallback.
     """
-    name, level_int, widths, seed, check, check_ir, options, engine = task
-    w = get_workload(name)
-    level = Level(level_int)
+    if len({m.latency_key() for m in machines}) > 1:
+        raise ValueError(f"{w.name}: the machines of one cell must share "
+                         "latencies (they share one ILP transformation)")
 
     conv, t_conv = _conv_cached(w, options)
     t0 = time.perf_counter()
-    tk = ilp_transform(conv.clone(), level, MachineConfig(issue_width=widths[0]),
-                       check=check_ir, options=options)
+    tk = ilp_transform(conv.clone(), level, machines[0], check=check_ir,
+                       options=options)
     t_transform = t_conv + (time.perf_counter() - t0)
 
-    arrays, scalars = _inputs_cached(w, seed)
-    cks = []
-    t_scheds = []
-    for i, width in enumerate(widths):
-        machine = MachineConfig(issue_width=width)
+    cell: list[CellRecord] = []
+    for i, machine in enumerate(machines):
         t0 = time.perf_counter()
-        # the last width may consume tk itself: nothing reads it afterwards
-        clone = tk.clone() if i + 1 < len(widths) else tk
-        cks.append(schedule_kernel(clone, machine, check=check_ir,
-                                   options=options))
-        t_scheds.append(time.perf_counter() - t0)
+        # the last machine may consume tk itself: nothing reads it afterwards
+        clone = tk.clone() if i + 1 < len(machines) else tk
+        ck = schedule_kernel(clone, machine, check=check_ir, options=options,
+                             scheduler=scheduler, solver_budget=solver_budget,
+                             solver_store=solver_store)
+        # a checked schedule has colored the kernel already
+        usage = ck.usage or measure_register_usage(ck.func,
+                                                   ck.lowered.live_out_exit)
+        t_schedule = time.perf_counter() - t0
+        # transform passes are charged to the first machine (the classical
+        # phase only when this cell paid it), scheduling to every machine
+        phases = (("schedule",) if i else
+                  None if t_conv > 0 else ("ilp", "cleanup", "schedule"))
+        cell.append(CellRecord(
+            ck, usage, None, t_transform if i == 0 else 0.0, t_schedule, 0.0,
+            ck.report.pass_seconds(phases=phases),
+        ))
+    if not simulate:
+        return cell
 
+    arrays, scalars = _inputs_cached(w.name, seed)
     runner = None
     t_exec = 0.0
-    if engine in ("auto", "compiled") and len(cks) > 1:
+    if engine in ("auto", "compiled") and len(cell) > 1:
         from ..sim import EngineUnsupported, ReplayUnsupported
 
         t0 = time.perf_counter()
         try:
-            runner = BatchedRunner(cks[0], arrays, scalars)
+            runner = BatchedRunner(cell[0].ck, arrays, scalars)
         except (EngineUnsupported, ReplayUnsupported):
-            runner = None  # cell outside engine scope: simulate per width
+            runner = None  # cell outside engine scope: simulate per machine
         t_exec = time.perf_counter() - t0
 
-    out: list[ConfigResult] = []
-    for i, ck in enumerate(cks):
+    for i, rec in enumerate(cell):
+        t0 = time.perf_counter()
         if runner is None:
-            out.append(_measure(
-                w, ck, arrays, scalars, check, t_transform, t_scheds[i],
-                _charged_pass_seconds(ck, i == 0, t_conv > 0), engine=engine,
-            ))
+            rec.run = run_compiled_kernel(rec.ck, arrays=arrays,
+                                          scalars=scalars, engine=engine)
+            fresh = True
         else:
-            usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
-            t0 = time.perf_counter()
-            run = runner.run(ck)
-            # outputs are shared across widths, so one check covers the
-            # cell — except a width that fell back to a fresh full
-            # simulation, whose outputs are its own
-            if check and (i == 0 or runner.last_fallback):
-                check_run(w, run.arrays, run.scalars, arrays, scalars)
-            t_sim = (time.perf_counter() - t0) + (t_exec if i == 0 else 0.0)
-            out.append(ConfigResult(
-                w.name, int(ck.level), ck.machine.issue_width, run.cycles,
-                run.instructions, ck.inner_makespan, usage.int_regs,
-                usage.fp_regs, check, t_compile=t_transform,
-                t_schedule=t_scheds[i], t_simulate=t_sim,
-                t_passes=_charged_pass_seconds(ck, i == 0, t_conv > 0),
-            ))
-        t_transform = 0.0  # shared cost charged to the first width only
-    return out
+            rec.run = runner.run(rec.ck)
+            # replayed outputs are shared across the cell
+            fresh = i == 0 or runner.last_fallback
+        if check and fresh:
+            check_run(w, rec.run.arrays, rec.run.scalars, arrays, scalars)
+        rec.t_simulate = (time.perf_counter() - t0) + (t_exec if i == 0 else 0.0)
+    return cell
+
+
+def _config_result(w: Workload, rec: CellRecord, check: bool) -> ConfigResult:
+    ck, run = rec.ck, rec.run
+    return ConfigResult(
+        w.name, int(ck.level), ck.machine.issue_width, run.cycles,
+        run.instructions, ck.inner_makespan, rec.usage.int_regs,
+        rec.usage.fp_regs, check, t_compile=rec.t_compile,
+        t_schedule=rec.t_schedule, t_simulate=rec.t_simulate,
+        t_passes=rec.t_passes,
+    )
+
+
+def _run_task(task: tuple) -> list[ConfigResult]:
+    """Run one (workload, level) cell over the requested widths."""
+    name, level_int, widths, seed, check, check_ir, options, engine = task
+    w = get_workload(name)
+    cell = evaluate_cell(
+        w, Level(level_int), [MachineConfig(issue_width=wd) for wd in widths],
+        seed=seed, check=check, check_ir=check_ir, options=options,
+        engine=engine,
+    )
+    return [_config_result(w, rec, check) for rec in cell]
 
 
 def run_config(
@@ -317,20 +346,12 @@ def run_config(
     ``scheduler`` selects the schedule backend (``--scheduler``), with
     ``solver_store`` caching exact-solver results fleet-wide.
     """
-    conv, t_conv = _conv_cached(w, options)
-    t0 = time.perf_counter()
-    tk = ilp_transform(conv.clone(), level, machine, check=check_ir,
-                       options=options)
-    t_compile = t_conv + (time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    ck = schedule_kernel(tk, machine, check=check_ir, options=options,
-                         scheduler=scheduler, solver_budget=solver_budget,
-                         solver_store=solver_store)
-    t_sched = time.perf_counter() - t0
-    arrays, scalars = _inputs_cached(w, seed)
-    return _measure(w, ck, arrays, scalars, check, t_compile, t_sched,
-                    _charged_pass_seconds(ck, True, t_conv > 0),
-                    engine=engine)
+    rec, = evaluate_cell(
+        w, level, [machine], seed=seed, check=check, check_ir=check_ir,
+        options=options, engine=engine, scheduler=scheduler,
+        solver_budget=solver_budget, solver_store=solver_store,
+    )
+    return _config_result(w, rec, check)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +418,7 @@ def _fork_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 def _run_supervised(tasks, record, data: SweepData, jobs: int,
-                    deadline_s: float | None, fingerprints: dict[str, str],
-                    seed: int, check: bool, check_ir: bool,
-                    disable: tuple) -> None:
+                    deadline_s: float | None, result_key) -> None:
     """Fan tasks out over the supervised pool: crashed/hung workers are
     replaced and their tasks re-dispatched; a permanently failing cell is
     recorded in ``data.failed`` instead of aborting the grid.  Tasks are
@@ -407,22 +426,12 @@ def _run_supervised(tasks, record, data: SweepData, jobs: int,
     duplicate can never double-count a configuration."""
     from concurrent.futures import as_completed
 
-    def fingerprint(name: str) -> str:
-        fp = fingerprints.get(name)
-        if fp is None:
-            fp = fingerprints[name] = workload_fingerprint(name)
-        return fp
-
     with SupervisedPool(jobs, deadline_s=deadline_s) as pool:
         futures = {}
         for task in tasks:
             name, level_int, widths_t = task[0], task[1], task[2]
-            key = request_key(
-                "result", name, level_int, widths_t[0], seed=seed,
-                check=check, check_ir=check_ir, disable=disable,
-                fingerprint=fingerprint(name),
-            )
-            fut = pool.submit(_run_task, task, key=key,
+            fut = pool.submit(_run_task, task,
+                              key=result_key(name, level_int, widths_t[0]),
                               cell=(name, level_int))
             futures[fut] = (name, level_int)
         for fut in as_completed(futures):
@@ -491,10 +500,15 @@ def run_sweep(
     t0 = time.time()
     disable = options.key if options is not None else ()
 
-    def store_key(name: str, level: int, width: int, fp: str) -> str:
+    fingerprints: dict[str, str] = {}
+
+    def result_key(name: str, level: int, width: int) -> str:
         # "result" blobs hold the sweep's full ConfigResult (phase and
         # per-pass timings included) — distinct from the service's
         # leaner "run" payloads for the same configuration
+        fp = fingerprints.get(name)
+        if fp is None:
+            fp = fingerprints[name] = workload_fingerprint(name)
         return request_key("result", name, level, width, seed=seed,
                            check=check, check_ir=check_ir, disable=disable,
                            fingerprint=fp)
@@ -518,22 +532,17 @@ def run_sweep(
                   f"those configurations will be recomputed", file=sys.stderr)
     data.reused = len(data.results)
 
-    fingerprints: dict[str, str] = {}
     if store is not None:
         # persistent layer: anything the journal did not cover may still
         # be in the artifact store from an earlier sweep (or service
         # traffic).  A corrupt or stale blob is just a miss.
-        fingerprints = {w.name: workload_fingerprint(w.name)
-                        for w in workloads}
         for w in workloads:
             for level in levels:
                 for wd in widths:
                     gk = (w.name, int(level), wd)
                     if gk in data.results:
                         continue
-                    payload = store.get(
-                        store_key(w.name, int(level), wd, fingerprints[w.name])
-                    )
+                    payload = store.get(result_key(*gk))
                     if payload is None:
                         continue
                     try:
@@ -579,11 +588,7 @@ def run_sweep(
             if jf is not None:
                 jf.write(json.dumps(asdict(r)) + "\n")
             if store is not None:
-                fp = fingerprints.get(r.workload)
-                if fp is None:
-                    fp = fingerprints[r.workload] = workload_fingerprint(r.workload)
-                store.put(store_key(r.workload, r.level, r.width, fp),
-                          asdict(r))
+                store.put(result_key(r.workload, r.level, r.width), asdict(r))
         if jf is not None:
             jf.flush()
         data.computed += len(rs)
@@ -596,7 +601,7 @@ def run_sweep(
         if jobs > 1 and len(tasks) > 1:
             if supervise:
                 _run_supervised(tasks, record, data, jobs, deadline_s,
-                                fingerprints, seed, check, check_ir, disable)
+                                result_key)
             else:
                 with _fork_pool(jobs) as pool:
                     for rs in pool.map(_run_task, tasks):
@@ -655,7 +660,7 @@ def save_sweep(data: SweepData, path: Path | None = None) -> Path:
 def load_sweep(path: Path | None = None, require_complete: bool = True) -> SweepData | None:
     """Load a cached sweep.
 
-    By default only a full 40x5x4 grid is usable (the figure renderers
+    By default only a full 40x6x4 grid is usable (the figure renderers
     need every cell); ``require_complete=False`` returns whatever subset
     the file holds, so partial sweeps remain inspectable.
     """

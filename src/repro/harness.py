@@ -44,6 +44,7 @@ from .machine import MachineConfig
 from .opt.driver import run_conv
 from .passes import PassOptions, PipelineReport
 from .pipeline import Level, apply_ilp_transforms, schedule_function
+from .regalloc import RegisterUsage, measure_register_usage
 from .schedule.listsched import Schedule
 from .schedule.superblock import SuperblockLoop
 from .sim import Memory, simulate
@@ -57,6 +58,9 @@ class CompiledKernel:
     sb: SuperblockLoop
     schedules: dict[str, Schedule]
     report: PipelineReport
+    #: register usage colored by ``schedule_kernel(check=True)``, kept so
+    #: callers that need the numbers do not color the kernel again
+    usage: RegisterUsage | None = None
 
     @property
     def func(self):
@@ -198,11 +202,10 @@ def schedule_kernel(
         scheduler=scheduler, solver_budget=solver_budget,
         solver_store=solver_store,
     )
-    if check:
-        from .regalloc import measure_register_usage
-
-        measure_register_usage(lk.func, lk.live_out_exit, check=True)
-    return CompiledKernel(lk, tk.level, machine, tk.sb, schedules, report)
+    usage = (measure_register_usage(lk.func, lk.live_out_exit, check=True)
+             if check else None)
+    return CompiledKernel(lk, tk.level, machine, tk.sb, schedules, report,
+                          usage)
 
 
 def compile_kernel(

@@ -25,9 +25,9 @@ Request lifecycle::
 * **Batching** — requests that differ *only in issue width* land in the
   same *cell* (one (workload, level, seed, flags, disable) unit).  The
   first request arms a ``batch_window`` timer; everything that joins
-  the cell before it fires is compiled once and scheduled per width —
-  the same width-sharding the sweep engine uses
-  (``TransformedKernel.clone``).
+  the cell before it fires is evaluated as one cell by the sweep's
+  :func:`~repro.experiments.sweep.evaluate_cell` — one compilation,
+  scheduled per width, a ``run`` cell executed once and replayed.
 * **Admission control, tiered** — at most ``max_pending`` accepted-but-
   unfinished configurations; past that, new requests are *shed*
   (:class:`Overloaded`, surfaced as HTTP 429).  Shedding is tiered:
@@ -69,16 +69,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..experiments.sweep import _conv_cached, _inputs_cached
-from ..harness import ilp_transform, run_compiled_kernel, schedule_kernel
+from ..experiments.sweep import evaluate_cell
 from ..ir.printer import format_block
 from ..machine import MachineConfig
 from ..passes import PassOptions
 from ..pipeline import Level
-from ..regalloc import measure_register_usage
 from ..resilience import faults
 from ..resilience.supervisor import CellQuarantined, SupervisedPool
-from ..workloads import check_run, get_workload
+from ..workloads import get_workload
 from .keys import request_key, workload_fingerprint
 from .store import ArtifactStore
 
@@ -102,47 +100,41 @@ def _array_digest(arr: np.ndarray) -> str:
 
 def compute_cell(task: tuple) -> list[dict]:
     """Compile one (workload, level) cell for several widths; optionally
-    simulate.  Mirrors the sweep engine's ``_run_task`` width sharding:
-    classical optimization is cached per worker process, the ILP
-    transformation runs once, each width schedules a structural clone.
+    simulate.  A thin formatter over the sweep's shared
+    :func:`~repro.experiments.sweep.evaluate_cell` core, so a served
+    result is the grid's result: one ILP transformation per cell, a
+    scheduled clone per width, and a multi-width ``run`` cell executed
+    once and replayed per width.
     """
     kind, name, level_int, widths, seed, check, check_ir, disable = task
-    w = get_workload(name)
     options = PassOptions(disable=tuple(disable)) if disable else None
-    simulate = kind == "run"
-
-    conv, _ = _conv_cached(w, options)
-    tk = ilp_transform(conv.clone(), Level(level_int),
-                       MachineConfig(issue_width=widths[0]),
-                       check=check_ir, options=options)
+    cell = evaluate_cell(
+        get_workload(name), Level(level_int),
+        [MachineConfig(issue_width=width) for width in widths],
+        seed=seed, check=check, check_ir=check_ir, options=options,
+        simulate=kind == "run",
+    )
     out: list[dict] = []
-    for i, width in enumerate(widths):
-        machine = MachineConfig(issue_width=width)
-        clone = tk.clone() if i + 1 < len(widths) else tk
-        ck = schedule_kernel(clone, machine, check=check_ir, options=options)
-        usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
+    for width, rec in zip(widths, cell):
+        ck, run = rec.ck, rec.run
         payload = {
             "kind": kind,
             "workload": name,
             "level": level_int,
             "width": width,
             "inner_makespan": ck.inner_makespan,
-            "int_regs": usage.int_regs,
-            "fp_regs": usage.fp_regs,
+            "int_regs": rec.usage.int_regs,
+            "fp_regs": rec.usage.fp_regs,
             "static_instructions": sum(len(b.instrs) for b in ck.func.blocks),
             "unroll_factor": ck.report.unroll_factor,
         }
-        if simulate:
-            arrays, scalars = _inputs_cached(w, seed)
-            run = run_compiled_kernel(ck, arrays=arrays, scalars=scalars)
-            if check:
-                check_run(w, run.arrays, run.scalars, arrays, scalars)
+        if run is not None:
             payload.update(
                 cycles=run.cycles,
                 instructions=run.instructions,
                 checked=bool(check),
                 seed=seed,
-                scalars={k: v for k, v in run.scalars.items()},
+                scalars=dict(run.scalars),
                 array_digests={k: _array_digest(v)
                                for k, v in sorted(run.arrays.items())},
             )
@@ -150,6 +142,16 @@ def compute_cell(task: tuple) -> list[dict]:
             payload["ir"] = format_block(ck.sb.body)
         out.append(payload)
     return out
+
+
+def _request_key(kind: str, req: dict) -> str:
+    """Canonical store key of one validated compile/run request."""
+    return request_key(
+        kind, req["workload"], req["level"], req["width"], seed=req["seed"],
+        check=req["check"], check_ir=req["check_ir"],
+        disable=tuple(req["disable"]),
+        fingerprint=workload_fingerprint(req["workload"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,39 +351,10 @@ class JobEngine:
     # -- request handling (loop thread) --------------------------------
 
     async def _handle(self, job: Job) -> dict:
-        t0 = time.perf_counter()
-        job.state = "running"
-        try:
-            # the deadline was stamped on the monotonic clock at
-            # admission; a wall-clock (NTP) step between then and now
-            # cannot stretch or shrink it
-            result = await asyncio.wait_for(
-                self._request(job.kind, job.request, job),
-                job.remaining_s(),
-            )
-            job.result = result
-            job.state = "done"
-            return result
-        except asyncio.TimeoutError:
-            job.state = "timeout"
-            job.error = "deadline expired"
-            self.counters["timeouts"] += 1
-            self.counters["errors"] += 1
-            raise RequestTimeout(f"{job.id}: deadline expired") from None
-        except Exception as e:
-            job.state = "failed"
-            job.error = repr(e)
-            self.counters["errors"] += 1
-            raise
-        finally:
-            job.finished = time.time()  # display only
-            job.elapsed_s = round(time.monotonic() - job.created_mono, 6)
-            self._latencies.append(time.perf_counter() - t0)
-            self._release(1)
+        return await self._settle(
+            job, self._request(job.kind, job.request, job), 1)
 
     async def _handle_sweep(self, job: Job) -> dict:
-        t0 = time.perf_counter()
-        job.state = "running"
         req = job.request
         subs = [
             {"workload": w, "level": lv, "width": wd, "seed": req["seed"],
@@ -390,13 +363,12 @@ class JobEngine:
             for w in req["workloads"] for lv in req["levels"]
             for wd in req["widths"]
         ]
-        try:
+
+        async def run() -> dict:
             hits0 = self.counters["hits"]
-            results = await asyncio.wait_for(
-                asyncio.gather(*(self._request("run", s, None) for s in subs)),
-                job.remaining_s(),
-            )
-            result = {
+            results = await asyncio.gather(
+                *(self._request("run", s, None) for s in subs))
+            return {
                 "configs": len(subs),
                 "hits": self.counters["hits"] - hits0,
                 "results": sorted(
@@ -404,6 +376,19 @@ class JobEngine:
                     key=lambda r: (r["workload"], r["level"], r["width"]),
                 ),
             }
+
+        return await self._settle(job, run(), len(subs))
+
+    async def _settle(self, job: Job, work, n: int) -> dict:
+        """Run a job's work under its deadline, record the outcome, and
+        release its ``n`` admitted configurations."""
+        t0 = time.perf_counter()
+        job.state = "running"
+        try:
+            # the deadline was stamped on the monotonic clock at
+            # admission; a wall-clock (NTP) step between then and now
+            # cannot stretch or shrink it
+            result = await asyncio.wait_for(work, job.remaining_s())
             job.result = result
             job.state = "done"
             return result
@@ -422,16 +407,11 @@ class JobEngine:
             job.finished = time.time()  # display only
             job.elapsed_s = round(time.monotonic() - job.created_mono, 6)
             self._latencies.append(time.perf_counter() - t0)
-            self._release(len(subs))
+            self._release(n)
 
     async def _request(self, kind: str, req: dict, job: Job | None) -> dict:
         """Resolve one configuration: store, single-flight, or batch."""
-        key = request_key(
-            kind, req["workload"], req["level"], req["width"],
-            seed=req["seed"], check=req["check"], check_ir=req["check_ir"],
-            disable=tuple(req["disable"]),
-            fingerprint=workload_fingerprint(req["workload"]),
-        )
+        key = _request_key(kind, req)
         if self.store is not None:
             cached = self.store.get(key)
             if cached is not None:
@@ -523,14 +503,7 @@ class JobEngine:
         """
         if self.store is None or self._closed:
             return None
-
-        key = request_key(
-            kind, req["workload"], req["level"], req["width"],
-            seed=req.get("seed", 0), check=req.get("check", True),
-            check_ir=req.get("check_ir", False),
-            disable=tuple(req.get("disable", ())),
-            fingerprint=workload_fingerprint(req["workload"]),
-        )
+        key = _request_key(kind, req)
 
         async def _read():
             return self.store.get(key)

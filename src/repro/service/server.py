@@ -41,6 +41,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from ..experiments.sweep import WIDTHS
+from ..pipeline import Level
 from ..resilience import faults
 from ..resilience.faults import FaultPlan
 from ..resilience.supervisor import CellQuarantined
@@ -49,6 +51,7 @@ from .store import ArtifactStore
 
 #: request bodies larger than this are rejected outright (bad client)
 MAX_BODY_BYTES = 1 << 20
+_LEVELS = frozenset(int(level) for level in Level)
 
 
 class ServiceError(Exception):
@@ -75,6 +78,19 @@ class _DroppedResponse(Exception):
     """Injected ``server.drop_response``: abandon the connection."""
 
 
+def _check_grid(levels, widths) -> None:
+    """400 unless every level is a pipeline ``Level`` and every width one
+    of the grid's issue widths."""
+    bad = ([f"level {x}" for x in levels if x not in _LEVELS]
+           + [f"width {x}" for x in widths if x not in WIDTHS])
+    if bad:
+        raise ServiceError(400, f"bad {bad[0]}")
+
+
+def _timeout(body: dict) -> float | None:
+    return float(body["timeout"]) if "timeout" in body else None
+
+
 def _req_fields(body: dict) -> dict:
     """Validated common fields of a compile/run request."""
     try:
@@ -86,15 +102,35 @@ def _req_fields(body: dict) -> dict:
             "check": bool(body.get("check", True)),
             "check_ir": bool(body.get("check_ir", False)),
             "disable": tuple(body.get("disable", ())),
-            "timeout": (float(body["timeout"])
-                        if "timeout" in body else None),
+            "timeout": _timeout(body),
         }
     except (KeyError, TypeError, ValueError) as e:
         raise ServiceError(400, f"bad request: {e!r}") from None
-    if out["level"] not in range(5):
-        raise ServiceError(400, f"bad level {out['level']}")
-    if out["width"] not in (1, 2, 4, 8):
-        raise ServiceError(400, f"bad width {out['width']}")
+    _check_grid((out["level"],), (out["width"],))
+    return out
+
+
+def _sweep_fields(body: dict) -> dict:
+    """Validated fields of a sweep request (the node and the cluster
+    router parse sweeps alike).  Levels and widths default to the full
+    evaluation grid."""
+    try:
+        out = {
+            "workloads": [str(w) for w in body["workloads"]],
+            "levels": [int(x) for x in body.get("levels", tuple(Level))],
+            "widths": [int(x) for x in body.get("widths", WIDTHS)],
+            "seed": int(body.get("seed", 0)),
+            "check": bool(body.get("check", True)),
+            "disable": sorted(set(body.get("disable", ()))),
+            "timeout": _timeout(body),
+        }
+    except (KeyError, TypeError, ValueError) as e:
+        raise ServiceError(400, f"bad request: {e!r}") from None
+    _check_grid(out["levels"], out["widths"])
+    out["configs"] = (len(out["workloads"]) * len(out["levels"])
+                      * len(out["widths"]))
+    if out["configs"] == 0:
+        raise ServiceError(400, "empty sweep")
     return out
 
 
@@ -231,23 +267,12 @@ class _Handler(BaseHTTPRequestHandler):
                 "result": stale}
 
     def _serve_sweep(self, body: dict) -> None:
-        try:
-            workloads = [str(w) for w in body["workloads"]]
-            levels = [int(x) for x in body.get("levels",
-                                               (0, 1, 2, 3, 4))]
-            widths = [int(x) for x in body.get("widths",
-                                               (1, 2, 4, 8))]
-            seed = int(body.get("seed", 0))
-            check = bool(body.get("check", True))
-            timeout = (float(body["timeout"])
-                       if "timeout" in body else None)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ServiceError(400, f"bad request: {e!r}") from None
+        f = _sweep_fields(body)
         try:
             job = self.engine.submit_sweep(
-                workloads, levels, widths, seed=seed, check=check,
-                disable=tuple(body.get("disable", ())),
-                timeout=timeout,
+                f["workloads"], f["levels"], f["widths"], seed=f["seed"],
+                check=f["check"], disable=tuple(f["disable"]),
+                timeout=f["timeout"],
             )
         except KeyError as e:
             raise ServiceError(400, f"unknown workload {e}") from None

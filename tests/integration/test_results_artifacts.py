@@ -1,0 +1,45 @@
+"""The committed artifacts in ``results/`` agree with each other.
+
+``results/headroom.txt`` (written by a full ``repro headroom`` run) and
+``results/BENCH_optsched.json`` (written by
+``benchmarks/bench_optsched_headroom.py``) report the same 40-loop
+experiment; a subset or stale table would contradict the benchmark.
+"""
+
+import json
+from pathlib import Path
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+RULE = "-" * 78
+
+
+def _headroom_table() -> tuple[list[list[str]], list[str]]:
+    """(per-loop rows split into columns, summary lines)."""
+    lines = (RESULTS / "headroom.txt").read_text().splitlines()
+    top, bottom = [i for i, line in enumerate(lines) if line == RULE]
+    return [line.split() for line in lines[top + 1:bottom]], lines[bottom + 1:]
+
+
+def test_headroom_table_matches_bench_optsched():
+    bench = json.loads((RESULTS / "BENCH_optsched.json").read_text())
+    rows, summary = _headroom_table()
+    loops = bench["loops"]
+    assert len(rows) == len(loops) == 40
+    for name, n, heur, opt, lb, status, mii, ii, acyc, mstatus in rows:
+        loop = loops[name]
+        assert (int(n), int(heur), int(opt), int(lb), status) == (
+            loop["n_instrs"], loop["heuristic_makespan"],
+            loop["optimal_makespan"], loop["proved_lb"], loop["status"]), name
+        assert (int(mii), int(ii), int(acyc), mstatus) == (
+            loop["mii"], loop["exact_ii"], loop["optimal_makespan"],
+            loop["modulo_status"]), name
+
+    assert (bench["proved_optimal"], bench["improved_blocks"],
+            bench["pipelining_wins"]) == (37, 2, 14)
+    assert summary[0].startswith(
+        f"block scheduling: {bench['proved_optimal']}/40 loops proven "
+        f"optimal, {bench['improved_blocks']} improved over the heuristic")
+    assert summary[1].startswith(
+        f"modulo scheduling: {bench['modulo_status_counts']['optimal']} "
+        f"proven MII-optimal, {bench['pipelining_wins']} loops where "
+        f"pipelining beats the best acyclic schedule")

@@ -111,6 +111,14 @@ class TestEndpoints:
             client.run("add", width=3)
         assert ei.value.status == 400
 
+    def test_lev5_run_matches_local_compilation(self, service):
+        client, _ = service
+        served = client.run("dotprod", level=5, width=8)["result"]
+        local = run_config(get_workload("dotprod"), Level.LEV5,
+                           MachineConfig(issue_width=8))
+        assert served["level"] == 5
+        assert served["cycles"] == local.cycles
+
     def test_unknown_job_is_404(self, service):
         client, _ = service
         with pytest.raises(ServiceRequestError) as ei:
@@ -125,7 +133,7 @@ class TestEndpoints:
 
     def test_oversized_sweep_is_shed_as_429(self, service):
         client, _ = service
-        # 2 workloads x 5 levels x 4 widths = 40 configs > max_pending=8;
+        # 2 workloads x 6 levels x 4 widths = 48 configs > max_pending=8;
         # admission is atomic, so the whole sweep is shed up front
         with pytest.raises(ServiceOverloaded) as ei:
             client.sweep(["add", "sum"])

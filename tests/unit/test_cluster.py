@@ -14,8 +14,11 @@ import pytest
 from repro.cluster.launch import ThreadCluster
 from repro.cluster.node import _key_of, serve_node_background
 from repro.cluster.ring import HashRing
-from repro.service.client import ServiceClient
-from repro.service.server import _req_fields
+from repro.cluster.router import serve_router_background
+from repro.experiments.sweep import WIDTHS
+from repro.pipeline import Level
+from repro.service.client import ServiceClient, ServiceRequestError
+from repro.service.server import _req_fields, _sweep_fields
 
 NODES = ("http://n1:1", "http://n2:1", "http://n3:1")
 
@@ -146,6 +149,27 @@ class TestForwarding:
                               headers={"X-Repro-Hop": "route"})
             r = c.run("dotprod")
             assert r["node"] == other  # computed here, not re-forwarded
+
+
+class TestSweepValidation:
+    def test_defaults_cover_the_whole_grid(self):
+        f = _sweep_fields({"workloads": ["add"]})
+        assert f["levels"] == [int(level) for level in Level]
+        assert f["widths"] == list(WIDTHS)
+
+    @pytest.mark.parametrize("grid", [{"levels": [9]}, {"widths": [3]},
+                                      {"levels": []}])
+    def test_node_and_router_reject_sweeps_outside_the_grid(self, tmp_path,
+                                                            grid):
+        with ThreadCluster(n=1, store_root=tmp_path) as tc:
+            httpd, _, router_url = serve_router_background(tc.urls)
+            try:
+                for url in (tc.urls[0], router_url):
+                    with pytest.raises(ServiceRequestError) as ei:
+                        ServiceClient(url, retry=None).sweep(["add"], **grid)
+                    assert ei.value.status == 400, url
+            finally:
+                httpd.shutdown()
 
 
 class TestCrossNodeSingleFlight:

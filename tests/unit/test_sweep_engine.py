@@ -10,9 +10,11 @@ import json
 
 import pytest
 
+from repro.experiments import sweep
 from repro.experiments.sweep import (
     CACHE_VERSION,
     ConfigResult,
+    evaluate_cell,
     load_sweep,
     read_journal,
     run_config,
@@ -27,6 +29,7 @@ from repro.harness import (
 )
 from repro.machine import MachineConfig
 from repro.pipeline import Level
+from repro.service.jobs import compute_cell
 from repro.workloads import get_workload
 
 WORKLOADS = ("add", "sum", "maxval")
@@ -94,6 +97,74 @@ class TestParallelSweep:
         # ...and never smeared over the others
         assert all(r.t_compile == 0 for r in rs if r.width != WIDTHS[0])
         assert all(r.t_schedule > 0 and r.t_simulate > 0 for r in rs)
+
+
+class TestEvaluateCell:
+    """The one cell-evaluation core behind the sweep, ``run_config`` and
+    the service's ``compute_cell``."""
+
+    @pytest.mark.parametrize("name,level", [
+        ("add", Level.LEV5),      # SLP-vectorized
+        ("maxval", Level.LEV4),   # superblock with side exits
+    ])
+    def test_batched_cell_equals_single_width_cells(self, name, level):
+        cell = evaluate_cell(get_workload(name), level,
+                             [MachineConfig(issue_width=8)], simulate=False)
+        sb, report = cell[0].ck.sb, cell[0].ck.report
+        if level is Level.LEV5:
+            assert sum(s.rewrites for s in report.stats if s.name == "slp")
+        else:
+            assert sb.offtrace
+        for kind in ("run", "compile"):
+            multi = compute_cell((kind, name, int(level), (1, 2, 4, 8), 0,
+                                  True, False, ()))
+            assert [p["width"] for p in multi] == [1, 2, 4, 8]
+            for payload in multi:
+                single, = compute_cell((kind, name, int(level),
+                                        (payload["width"],), 0, True, False,
+                                        ()))
+                assert (json.dumps(payload, sort_keys=True)
+                        == json.dumps(single, sort_keys=True))
+
+    def test_checked_cell_colors_each_width_once(self, monkeypatch):
+        from repro import harness
+
+        orig = sweep.measure_register_usage
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("check", False))
+            return orig(*args, **kwargs)
+
+        # the checked schedule colors through the harness's alias, an
+        # unchecked one through the sweep's
+        monkeypatch.setattr(harness, "measure_register_usage", counting)
+        monkeypatch.setattr(sweep, "measure_register_usage", counting)
+        cell = evaluate_cell(get_workload("sum"), Level.LEV4,
+                             [MachineConfig(issue_width=w) for w in (1, 2, 4, 8)],
+                             check_ir=True)
+        assert calls == [True] * 4
+        assert all(rec.usage is rec.ck.usage for rec in cell)
+
+    def test_machines_must_share_latencies(self):
+        fast = MachineConfig(issue_width=8)
+        latencies = dict(fast.latencies)
+        kind = next(iter(latencies))
+        latencies[kind] += 1
+        slow = MachineConfig(issue_width=8, latencies=latencies)
+        with pytest.raises(ValueError, match="share latencies"):
+            evaluate_cell(get_workload("add"), Level.LEV4, [fast, slow],
+                          simulate=False)
+
+    def test_input_cache_is_bounded(self):
+        sweep._inputs_cached.cache_clear()
+        n = sweep.INPUT_CACHE_SIZE + 10
+        for seed in range(n):
+            sweep._inputs_cached("add", seed)
+        info = sweep._inputs_cached.cache_info()
+        assert info.currsize == sweep.INPUT_CACHE_SIZE
+        assert info.misses == n
+        assert sweep.INPUT_CACHE_SIZE >= 40  # a whole seed's grid fits
 
 
 class TestJournalResume:
