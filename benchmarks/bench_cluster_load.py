@@ -183,8 +183,7 @@ def test_cluster_load():
     with tempfile.TemporaryDirectory() as tmp:
         with ThreadCluster(n=3, store_root=Path(tmp),
                            max_pending=256) as tc:
-            httpd, router, url = serve_router_background(
-                tc.urls, timeout=60.0)
+            httpd, router, url = serve_router_background(tc.urls)
             try:
                 # pre-warm every key onto its home shard: the load test
                 # then measures the service path, not compilation

@@ -34,12 +34,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..service.client import (
-    ServiceClient,
-    ServiceRequestError,
-    ServiceUnavailable,
-)
-from .node import make_node, serve_node_background
+from .node import PeerClients, make_node, serve_node_background
 from .router import serve_router_background
 
 
@@ -61,14 +56,12 @@ def free_ports(n: int, host: str = "127.0.0.1") -> list[int]:
 
 def _wait_healthy(urls: list[str], deadline_s: float = 30.0) -> None:
     end = time.monotonic() + deadline_s
+    probes = PeerClients(deadline_s)
     pending = list(urls)
     while pending:
         url = pending[0]
-        try:
-            ok = ServiceClient(url, timeout=2.0, retry=None).healthz().get("ok")
-        except (ServiceUnavailable, ServiceRequestError):
-            ok = False
-        if ok:
+        health = probes.probe(url, "/healthz")
+        if health and health.get("ok"):
             pending.pop(0)
             continue
         if time.monotonic() > end:
@@ -81,14 +74,14 @@ class ThreadCluster:
 
     def __init__(self, n: int = 3, store_root: Path | None = None,
                  jobs: int = 1, max_pending: int = 64,
-                 default_timeout: float = 120.0, vnodes: int = 64):
+                 default_timeout: float = 120.0):
         self.servers, self.engines, self.states = [], [], []
         for i in range(n):
             store = (Path(store_root) / f"node{i}"
                      if store_root is not None else None)
             httpd, engine, cluster, _url = serve_node_background(
                 store_dir=store, jobs=jobs, max_pending=max_pending,
-                default_timeout=default_timeout, vnodes=vnodes)
+                default_timeout=default_timeout)
             self.servers.append(httpd)
             self.engines.append(engine)
             self.states.append(cluster)
@@ -200,8 +193,7 @@ def _serve_node_forever(args) -> int:
     httpd, engine, cluster = make_node(
         host=args.host, port=args.port, store_dir=args.store,
         jobs=args.jobs, max_pending=args.max_pending,
-        default_timeout=args.timeout, quiet=not args.verbose,
-        vnodes=args.vnodes)
+        default_timeout=args.timeout, quiet=not args.verbose)
     peers = [u for u in (args.peers or "").split(",") if u]
     cluster.join(peers if peers else [cluster.self_url])
     print(f"cluster node {cluster.self_url} "
@@ -232,8 +224,6 @@ def main(argv=None) -> int:
                     help="worker processes per node (default: 1)")
     ap.add_argument("--max-pending", type=int, default=64, metavar="N")
     ap.add_argument("--timeout", type=float, default=120.0)
-    ap.add_argument("--vnodes", type=int, default=64,
-                    help="virtual nodes per node on the hash ring")
     ap.add_argument("--fault-plan", metavar="FILE", default=None,
                     help="arm this fault plan inside every node")
     ap.add_argument("--verbose", action="store_true")

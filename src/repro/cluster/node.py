@@ -24,18 +24,25 @@ cluster behaviors:
   reply marked ``"cache": "stolen"``.  Concurrent sheds of the same key
   join one steal through a small in-flight registry, mirroring the
   engine's dedup.  Only when no peer can take the work does the node
-  fall back to degraded store serving and finally a real 429.
+  fall back to degraded store serving and finally a real 429.  Sweeps
+  are not stolen: a saturated node answers them 429, like a single
+  node.
 * **Peer protocol** (all JSON over the existing HTTP front)::
 
       POST /cluster/compute   {kind, workload, level, width, ...}
                               compute here regardless of ownership
-      POST /cluster/put       {key, payload} -> land on this shard
       GET  /cluster/info      membership + load (queue depth, tiers)
 
 Hop headers (``X-Repro-Hop: forward|route|steal``) are loop guards: a
 request that already made one node-to-node (or router-to-node) hop is
 terminal — it is served locally, never re-forwarded, so no routing loop
 can form even with a stale ring.
+
+Every call one cluster process makes to another — router to node, node
+to node — goes through :class:`PeerClients`: one client cache, one loop
+over candidate URLs.  A peer's error reply (429, 503, ...) propagates
+as :class:`~repro.service.client.ServiceRequestError` and the service
+handler relays it, ``Retry-After`` included.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from ..service.client import (
     ServiceRequestError,
     ServiceUnavailable,
 )
-from ..service.jobs import JobEngine, Overloaded
+from ..service.jobs import JobEngine
 from ..service.keys import request_key, workload_fingerprint
 from ..service.server import (
     ServiceError,
@@ -66,6 +73,58 @@ from .ring import HashRing
 
 #: one node-to-node hop is allowed; these header values are terminal
 HOP_HEADER = "X-Repro-Hop"
+#: read timeout of hop-less peer calls (membership/load/health probes)
+PROBE_TIMEOUT_S = 15.0
+
+
+class PeerClients:
+    """The one way a cluster process calls its peers.
+
+    Clients are cached per ``(url, hop)`` and carry no transport retry:
+    a dead peer should fail over along the ring immediately, not back
+    off against a corpse.  Hop-less calls are quick probes; calls with a
+    hop header wait for a computation (*forwarded-wait*), so they get
+    ``wait_s``.
+    """
+
+    def __init__(self, wait_s: float):
+        self.wait_s = wait_s
+        self._lock = threading.Lock()
+        self._clients: dict[tuple[str, str | None], ServiceClient] = {}
+
+    def _client(self, url: str, hop: str | None) -> ServiceClient:
+        with self._lock:
+            c = self._clients.get((url, hop))
+            if c is None:
+                c = ServiceClient(
+                    url, timeout=self.wait_s if hop else PROBE_TIMEOUT_S,
+                    retry=None, headers={HOP_HEADER: hop} if hop else {})
+                self._clients[(url, hop)] = c
+        return c
+
+    def first_reply(self, method: str, path: str, body: dict | None,
+                    urls, hop: str | None = None, *,
+                    skip=(ServiceUnavailable,),
+                    on_skip=None) -> tuple[str, dict] | None:
+        """``(url, reply)`` from the first of ``urls`` that answers.
+
+        A URL whose call raises one of ``skip`` is passed over (and
+        reported to ``on_skip(url)``); any other error propagates.
+        None when every URL was skipped.
+        """
+        for url in urls:
+            try:
+                return url, self._client(url, hop)._call(method, path, body)
+            except skip:
+                if on_skip is not None:
+                    on_skip(url)
+        return None
+
+    def probe(self, url: str, path: str) -> dict | None:
+        """``GET path`` on one peer; None if it is down or errs."""
+        got = self.first_reply("GET", path, None, [url],
+                               skip=(ServiceUnavailable, ServiceRequestError))
+        return None if got is None else got[1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -93,13 +152,12 @@ def _key_of(kind: str, f: dict) -> str:
 class ClusterState:
     """One node's view of the cluster: ring, peer clients, counters."""
 
-    def __init__(self, vnodes: int = 64):
+    def __init__(self, engine: JobEngine):
         self.self_url: str | None = None
-        self.vnodes = vnodes
         self.ring: HashRing | None = None
-        self.engine: JobEngine | None = None
+        self.engine = engine
+        self.clients = PeerClients(engine.default_timeout + 30.0)
         self._lock = threading.Lock()
-        self._clients: dict[tuple[str, str], ServiceClient] = {}
         #: steal-path single-flight: key -> Future of the reply dict
         self._steal_inflight: dict[str, Future] = {}
         self.counters: Counter = Counter({
@@ -109,7 +167,6 @@ class ClusterState:
             "steals_out": 0,      # shed work handed to a peer
             "steals_in": 0,       # peer work computed here
             "steal_joined": 0,    # duplicate sheds joined one steal
-            "puts_in": 0,         # artifacts landed here by peers
         })
 
     # -- membership ------------------------------------------------------
@@ -120,7 +177,7 @@ class ClusterState:
             raise RuntimeError("node has no bound URL yet")
         if self.self_url not in urls:
             raise ValueError(f"{self.self_url} not in membership {urls}")
-        self.ring = HashRing(urls, vnodes=self.vnodes)
+        self.ring = HashRing(urls)
 
     @property
     def active(self) -> bool:
@@ -130,23 +187,6 @@ class ClusterState:
         if self.ring is None:
             return []
         return [u for u in self.ring.nodes if u != self.self_url]
-
-    def _client(self, url: str, hop: str | None) -> ServiceClient:
-        """A cached peer client.  No transport retry: a dead peer should
-        fail over along the ring immediately, not back off against a
-        corpse; forwarded-wait needs a generous read timeout."""
-        purpose = hop or "plain"
-        with self._lock:
-            c = self._clients.get((url, purpose))
-            if c is None:
-                timeout = 15.0 if purpose == "plain" else (
-                    (self.engine.default_timeout if self.engine else 120.0)
-                    + 30.0)
-                headers = {HOP_HEADER: hop} if hop else {}
-                c = ServiceClient(url, timeout=timeout, retry=None,
-                                  headers=headers)
-                self._clients[(url, purpose)] = c
-        return c
 
     def count(self, name: str, n: int = 1) -> None:
         with self._lock:
@@ -160,14 +200,12 @@ class ClusterState:
 
     def forward(self, path: str, body: dict, owner: str) -> dict | None:
         """Proxy a request to the owning node; None if it is down."""
-        try:
-            reply = self._client(owner, "forward")._call("POST", path, body)
-        except ServiceUnavailable:
+        got = self.clients.first_reply("POST", path, body, [owner],
+                                       "forward")
+        if got is None:
             return None
-        except ServiceRequestError as e:
-            # the owner answered: relay its verdict (429/503/...) as-is
-            raise ServiceError(e.status, str(e)) from None
         self.count("forwarded_out")
+        reply = got[1]
         reply["forwarded"] = True
         return reply
 
@@ -175,15 +213,10 @@ class ClusterState:
 
     def peer_loads(self) -> list[tuple[int, str]]:
         """(queue_depth, url) of reachable peers, least loaded first."""
-        loads = []
-        for url in self.peers():
-            try:
-                info = self._client(url, None)._call("GET", "/cluster/info")
-            except (ServiceUnavailable, ServiceRequestError):
-                continue
-            loads.append((int(info.get("queue_depth", 0)), url))
-        loads.sort()
-        return loads
+        infos = {url: self.clients.probe(url, "/cluster/info")
+                 for url in self.peers()}
+        return sorted((int(info.get("queue_depth", 0)), url)
+                      for url, info in infos.items() if info is not None)
 
     def steal(self, kind: str, f: dict, timeout: float | None,
               key: str) -> dict | None:
@@ -204,8 +237,7 @@ class ClusterState:
             try:
                 reply = fut.result(
                     timeout=(timeout if timeout is not None else
-                             (self.engine.default_timeout if self.engine
-                              else 120.0)) + 30.0)
+                             self.engine.default_timeout) + 30.0)
             except Exception:
                 return None
             return None if reply is None else dict(reply)
@@ -225,25 +257,27 @@ class ClusterState:
         body = {"kind": kind, **f}
         if timeout is not None:
             body["timeout"] = timeout
-        for _, url in self.peer_loads():
-            try:
-                reply = self._client(url, "steal")._call(
-                    "POST", "/cluster/compute", body)
-            except (ServiceUnavailable, ServiceOverloaded):
-                continue  # peer died or is saturated too: try the next
-            except ServiceRequestError:
-                # a real compilation failure would recur anywhere; stop
-                # burning peers and let the local shed path answer
-                return None
-            self.count("steals_out")
-            payload = reply.get("result")
-            if payload is not None and self.engine is not None:
-                # this node owns the key: land the artifact on *its*
-                # shard so the cluster's placement stays consistent
-                self.engine.store_put(key, payload)
-            return {"job": None, "cache": "stolen", "result": payload,
-                    "node": self.self_url, "stolen_by": url}
-        return None
+        try:
+            # a dead or saturated peer: try the next one
+            got = self.clients.first_reply(
+                "POST", "/cluster/compute", body,
+                [url for _, url in self.peer_loads()], "steal",
+                skip=(ServiceUnavailable, ServiceOverloaded))
+        except ServiceRequestError:
+            # a real compilation failure would recur anywhere; stop
+            # burning peers and let the local shed path answer
+            return None
+        if got is None:
+            return None
+        url, reply = got
+        self.count("steals_out")
+        payload = reply.get("result")
+        if payload is not None:
+            # this node owns the key: land the artifact on *its* shard
+            # so the cluster's placement stays consistent
+            self.engine.store_put(key, payload)
+        return {"job": None, "cache": "stolen", "result": payload,
+                "node": self.self_url, "stolen_by": url}
 
 
 class _NodeHandler(_Handler):
@@ -289,16 +323,6 @@ class _NodeHandler(_Handler):
             self._serve_single(kind, f, timeout,
                                extra={"node": cl.self_url})
             return
-        if self.path == "/cluster/put":
-            try:
-                key = str(body["key"])
-                payload = body["payload"]
-            except (KeyError, TypeError) as e:
-                raise ServiceError(400, f"bad request: {e!r}") from None
-            cl.count("puts_in")
-            stored = self.engine.store_put(key, payload)
-            self._send(200, {"stored": bool(stored), "node": cl.self_url})
-            return
         if self.path in ("/v1/compile", "/v1/run") and cl.active:
             kind = self.path.rsplit("/", 1)[1]
             f = _req_fields(body)
@@ -319,28 +343,6 @@ class _NodeHandler(_Handler):
                 cl.count("forwarded_in")
             self._serve_single(kind, f, timeout,
                                extra={"node": cl.self_url, "owner": owner})
-            return
-        if self.path == "/v1/sweep" and cl.active:
-            try:
-                super()._serve_sweep(body)
-            except Overloaded:
-                # soft-shed tier crossed: offer the whole sweep to the
-                # least-loaded peer before shedding for real
-                if self.headers.get(HOP_HEADER) is not None:
-                    raise
-                for _, url in cl.peer_loads():
-                    try:
-                        reply = cl._client(url, "steal")._call(
-                            "POST", "/v1/sweep", body)
-                    except (ServiceUnavailable, ServiceOverloaded,
-                            ServiceRequestError):
-                        continue
-                    cl.count("steals_out")
-                    reply["node"] = url
-                    reply["stolen_by"] = url
-                    self._send(202, reply)
-                    return
-                raise
             return
         super()._handle_post(body)
 
@@ -363,7 +365,6 @@ def make_node(
     max_store_bytes: int | None = None,
     default_timeout: float = 120.0,
     quiet: bool = True,
-    vnodes: int = 64,
 ) -> tuple[ThreadingHTTPServer, JobEngine, ClusterState]:
     """Build (but do not start) one cluster node; port 0 picks a free
     port.  Call ``cluster.join(all_urls)`` once every node is bound."""
@@ -371,8 +372,7 @@ def make_node(
              if store_dir is not None else None)
     engine = JobEngine(store=store, jobs=jobs, max_pending=max_pending,
                        default_timeout=default_timeout)
-    cluster = ClusterState(vnodes=vnodes)
-    cluster.engine = engine
+    cluster = ClusterState(engine)
     handler = type("NodeHandler", (_NodeHandler,),
                    {"engine": engine, "cluster": cluster, "quiet": quiet})
     httpd = ServiceHTTPServer((host, port), handler)

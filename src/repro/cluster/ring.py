@@ -9,16 +9,22 @@ average for a K-key space, and *provably* none whose owner did not
 change (removing a node can only reassign keys it owned; adding a node
 can only claim keys for itself).
 
-Each node is placed at ``vnodes`` pseudo-random points on a 64-bit
+Each node is placed at :data:`VNODES` pseudo-random points on a 64-bit
 circle (SHA-256 of ``"{node}#{i}"``); a key (already a SHA-256 hex
 digest from :mod:`repro.service.keys`, but any string works) maps to
 the first node point at or clockwise of its own hash.  Virtual nodes
 smooth the load: with 64 points per node the heaviest/lightest node
-imbalance stays within a few tens of percent even at N=3.
+imbalance stays within a few tens of percent even at N=3.  The count
+is a constant, not a setting: a router and a node that disagreed on it
+would disagree on ownership.
+
+A ring is built once from its member list (membership changes build a
+new ring); sorting ``(point, node)`` pairs makes it independent of the
+list's order, ties included.
 
 ``preference(key)`` is the failover order: the distinct nodes in ring
 order starting at the owner.  Everyone computing the same preference
-list is what lets the router and clients fail over deterministically
+list is what lets the router and the nodes fail over deterministically
 when the owner is down, without any coordination.
 """
 
@@ -34,20 +40,19 @@ def _point(data: str) -> int:
         hashlib.sha256(data.encode()).digest()[:8], "big")
 
 
+#: points per node on the circle
+VNODES = 64
+
+
 class HashRing:
     """A consistent-hash ring over node names (URLs, typically)."""
 
-    def __init__(self, nodes=(), vnodes: int = 64):
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
-        self._nodes: set[str] = set()
-        self._points: list[int] = []       # sorted vnode positions
-        self._owners: list[str] = []       # node at each position
-        for n in nodes:
-            self.add(n)
-
-    # -- membership ------------------------------------------------------
+    def __init__(self, nodes=()):
+        self._nodes = frozenset(nodes)
+        ring = sorted((_point(f"{node}#{i}"), node)
+                      for node in self._nodes for i in range(VNODES))
+        self._points = [p for p, _ in ring]   # sorted vnode positions
+        self._owners = [n for _, n in ring]   # node at each position
 
     @property
     def nodes(self) -> list[str]:
@@ -55,33 +60,6 @@ class HashRing:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
-
-    def add(self, node: str) -> None:
-        if node in self._nodes:
-            return
-        self._nodes.add(node)
-        for i in range(self.vnodes):
-            p = _point(f"{node}#{i}")
-            at = bisect.bisect_left(self._points, p)
-            # ties broken by node name so every process builds the
-            # identical ring regardless of insertion order
-            while (at < len(self._points) and self._points[at] == p
-                   and self._owners[at] < node):
-                at += 1
-            self._points.insert(at, p)
-            self._owners.insert(at, node)
-
-    def remove(self, node: str) -> None:
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        keep = [(p, o) for p, o in zip(self._points, self._owners)
-                if o != node]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
 
     # -- placement -------------------------------------------------------
 

@@ -139,7 +139,12 @@ def _worker_main(inbox, outbox, hb_interval: float) -> None:
     The outbox has two in-process writers (main loop + heartbeat
     thread), serialized by a thread lock; cross-process it has exactly
     one writer, so a sibling's death cannot corrupt this channel.
+
+    The heartbeat thread also exits the worker once its parent is gone
+    (reparented): sibling workers hold copies of this worker's pipe
+    ends, so EOF alone never arrives when the parent is killed.
     """
+    parent = os.getppid()
     send_lock = threading.Lock()
 
     def send(msg) -> bool:
@@ -151,8 +156,9 @@ def _worker_main(inbox, outbox, hb_interval: float) -> None:
             return False  # parent went away; nothing left to do
 
     def beat():
-        while send(("hb", None, None)):
+        while os.getppid() == parent and send(("hb", None, None)):
             time.sleep(hb_interval)
+        os._exit(0)
 
     threading.Thread(target=beat, daemon=True, name="hb").start()
     plan = faults.ARMED  # inherited over fork

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,6 +47,7 @@ from ..pipeline import Level
 from ..resilience import faults
 from ..resilience.faults import FaultPlan
 from ..resilience.supervisor import CellQuarantined
+from .client import ServiceRequestError
 from .jobs import JobEngine, Overloaded, RequestTimeout
 from .store import ArtifactStore
 
@@ -222,6 +224,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(504, {"error": str(e)})
         except ServiceError as e:
             self._send(e.status, {"error": str(e)})
+        except ServiceRequestError as e:
+            # a cluster peer's verdict (429/503/...): relay it as-is
+            retry = ({} if e.retry_after is None else
+                     {"Retry-After": str(math.ceil(e.retry_after))})
+            self._send(e.status, {"error": str(e)}, retry)
         except Exception as e:  # compilation/simulation failure
             self._send(500, {"error": repr(e)})
 

@@ -4,6 +4,8 @@
 ``results/BENCH_optsched.json`` (written by
 ``benchmarks/bench_optsched_headroom.py``) report the same 40-loop
 experiment; a subset or stale table would contradict the benchmark.
+``results/CHAOS_cluster_report.json`` must agree with its own grid and
+checks.
 """
 
 import json
@@ -43,3 +45,24 @@ def test_headroom_table_matches_bench_optsched():
         f"modulo scheduling: {bench['modulo_status_counts']['optimal']} "
         f"proven MII-optimal, {bench['pipelining_wins']} loops where "
         f"pipelining beats the best acyclic schedule")
+
+
+def test_cluster_chaos_report_reconciles():
+    """``repro chaos --cluster`` routes the first half of the grid, the
+    second half, then the whole grid again, and its failover count is
+    the one its own check predicted from the ring."""
+    report = json.loads((RESULTS / "CHAOS_cluster_report.json").read_text())
+    assert report["ok"]
+    checks = {c["check"]: c for c in report["checks"]}
+    assert len(checks) == 6
+    assert all(c["ok"] and c["observed"] == c["expected"]
+               for c in checks.values()), checks
+    router = report["router"]
+    assert router["failovers"] == checks[
+        "router failovers exactly as ring-predicted"]["expected"]
+    grid = report["grid"]
+    configs = grid["configs"]
+    assert configs == (len(grid["workloads"]) * len(grid["levels"])
+                       * len(grid["widths"]))
+    half = configs // 2
+    assert router["routed"] == half + (configs - half) + configs

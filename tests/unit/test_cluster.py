@@ -17,8 +17,13 @@ from repro.cluster.ring import HashRing
 from repro.cluster.router import serve_router_background
 from repro.experiments.sweep import WIDTHS
 from repro.pipeline import Level
-from repro.service.client import ServiceClient, ServiceRequestError
+from repro.service.client import (
+    ServiceClient,
+    ServiceOverloaded,
+    ServiceRequestError,
+)
 from repro.service.server import _req_fields, _sweep_fields
+from repro.workloads import all_workloads
 
 NODES = ("http://n1:1", "http://n2:1", "http://n3:1")
 
@@ -53,8 +58,7 @@ class TestHashRing:
         the newcomer, and the moved fraction is ~K/N."""
         ks = keys(800)
         before = {k: HashRing(NODES).node_for(k) for k in ks}
-        grown = HashRing(NODES)
-        grown.add("http://n4:1")
+        grown = HashRing(NODES + ("http://n4:1",))
         moved = 0
         for k in ks:
             owner = grown.node_for(k)
@@ -69,8 +73,7 @@ class TestHashRing:
         ks = keys(800)
         full = HashRing(NODES)
         before = {k: full.node_for(k) for k in ks}
-        shrunk = HashRing(NODES)
-        shrunk.remove(NODES[0])
+        shrunk = HashRing(NODES[1:])
         for k in ks:
             if before[k] != NODES[0]:
                 assert shrunk.node_for(k) == before[k], \
@@ -100,15 +103,16 @@ class TestHashRing:
         with pytest.raises(ValueError):
             ring.node_for(keys(1)[0])
         assert ring.preference(keys(1)[0]) == []
-        ring.add("http://solo:1")
-        assert ring.node_for(keys(1)[0]) == "http://solo:1"
+        assert HashRing(["http://solo:1"]).node_for(keys(1)[0]) \
+            == "http://solo:1"
 
-    def test_duplicate_add_and_absent_remove_are_noops(self):
-        ring = HashRing(NODES)
-        ring.add(NODES[0])
-        ring.remove("http://ghost:1")
+    def test_duplicate_member_counts_once(self):
+        ring = HashRing(NODES + (NODES[0],))
         assert len(ring) == 3
         assert ring.nodes == sorted(NODES)
+        plain = HashRing(NODES)
+        for k in keys(200):
+            assert ring.preference(k) == plain.preference(k)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +213,34 @@ class TestCrossNodeSingleFlight:
 # ---------------------------------------------------------------------------
 
 
-def _two_nodes(tmp_path, overloaded_pending=0):
-    """An overloaded node A (sheds everything) plus a healthy peer B."""
+def _two_nodes(tmp_path, a_pending=0, b_pending=64):
+    """Two joined nodes; node A sheds everything by default."""
     a = serve_node_background(store_dir=tmp_path / "a", jobs=1,
-                              max_pending=overloaded_pending)
-    b = serve_node_background(store_dir=tmp_path / "b", jobs=1)
+                              max_pending=a_pending)
+    b = serve_node_background(store_dir=tmp_path / "b", jobs=1,
+                              max_pending=b_pending)
     urls = [a[3], b[3]]
     for rig in (a, b):
         rig[2].join(urls)
     return a, b
+
+
+def _owned_by(rig) -> str:
+    """A corpus workload whose default run key the given node owns.
+
+    Ownership hangs on the nodes' ephemeral-port URLs, so scan the whole
+    corpus rather than a handful of probes."""
+    cluster, url = rig[2], rig[3]
+    for w in all_workloads():
+        if cluster.ring.node_for(_key_of("run", fields(w.name))) == url:
+            return w.name
+    pytest.fail(f"no workload owned by {url}")
+
+
+def _close(*rigs):
+    for rig in rigs:
+        rig[0].shutdown()
+        rig[1].close()
 
 
 class TestWorkStealing:
@@ -226,15 +249,8 @@ class TestWorkStealing:
         try:
             # a config whose key node A owns, so no ownership forward
             # happens before admission control sheds it on A
-            cfg = None
-            for wl in ("add", "sum", "dotprod", "maxval", "fetch"):
-                f = fields(workload=wl)
-                if a[2].ring.node_for(_key_of("run", f)) == a[3]:
-                    cfg = (wl, f)
-                    break
-            assert cfg is not None, "no probe workload owned by node A"
-            wl, f = cfg
-            key = _key_of("run", f)
+            wl = _owned_by(a)
+            key = _key_of("run", fields(wl))
 
             r = ServiceClient(a[3], retry=None).run(wl)
             assert r["cache"] == "stolen"
@@ -246,30 +262,14 @@ class TestWorkStealing:
             # ring says it lives
             assert a[1].store.contains(key)
         finally:
-            for rig in (a, b):
-                rig[0].shutdown()
-                rig[1].close()
+            _close(a, b)
 
     def test_steal_request_is_terminal_on_the_peer(self, tmp_path):
         """A stolen computation never cascades: if the thief's peer is
         itself overloaded it sheds (429) instead of re-stealing."""
-        a = serve_node_background(store_dir=tmp_path / "a", jobs=1,
-                                  max_pending=0)
-        b = serve_node_background(store_dir=tmp_path / "b", jobs=1,
-                                  max_pending=0)
-        urls = [a[3], b[3]]
-        for rig in (a, b):
-            rig[2].join(urls)
+        a, b = _two_nodes(tmp_path, b_pending=0)
         try:
-            from repro.service.client import ServiceOverloaded
-
-            wl = None  # a workload whose key node A owns (direct shed)
-            for probe in ("add", "sum", "dotprod", "maxval", "fetch"):
-                if a[2].ring.node_for(
-                        _key_of("run", fields(workload=probe))) == a[3]:
-                    wl = probe
-                    break
-            assert wl is not None
+            wl = _owned_by(a)  # A owns it: a direct shed, no forward
             with pytest.raises(ServiceOverloaded):
                 ServiceClient(a[3], retry=None).run(wl)
             # A offered B the work once; B, saturated, shed it without
@@ -279,6 +279,33 @@ class TestWorkStealing:
             assert a[2].counters["steals_in"] == 0
             assert sum(e.counters["computed"] for e in (a[1], b[1])) == 0
         finally:
-            for rig in (a, b):
-                rig[0].shutdown()
-                rig[1].close()
+            _close(a, b)
+
+    def test_saturated_node_sheds_a_sweep(self, tmp_path):
+        """Sweeps are never stolen: a saturated node answers 429 with
+        Retry-After even while its peer is idle, like a single node."""
+        a, b = _two_nodes(tmp_path)
+        try:
+            with pytest.raises(ServiceOverloaded) as ei:
+                ServiceClient(a[3], retry=None).sweep(["add"])
+            assert ei.value.retry_after == 1.0
+            assert b[1].counters["computed"] == 0
+        finally:
+            _close(a, b)
+
+
+class TestPeerErrorRelay:
+    def test_shed_429_keeps_retry_after_via_node_and_router(self, tmp_path):
+        """An owner's 429 reaches the caller with its Retry-After, both
+        through a forwarding node and through the router."""
+        a, b = _two_nodes(tmp_path, b_pending=0)
+        httpd, _, router_url = serve_router_background([a[3], b[3]])
+        try:
+            wl = _owned_by(b)  # the saturated owner; A forwards to it
+            for url in (a[3], router_url):
+                with pytest.raises(ServiceOverloaded) as ei:
+                    ServiceClient(url, retry=None).run(wl)
+                assert ei.value.retry_after == 1.0, url
+        finally:
+            httpd.shutdown()
+            _close(a, b)

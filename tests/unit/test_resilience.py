@@ -1,15 +1,24 @@
 """Unit tests for the resilience layer: retry schedule, circuit
-breaker, error taxonomy, fault-plan determinism, tmp-file janitor.
+breaker, error taxonomy, fault-plan determinism, tmp-file janitor,
+pool-worker lifetime.
 
-Everything time-dependent runs on a fake clock / injected sleep — no
-test here waits on wall time.
+Everything time-dependent runs on a fake clock / injected sleep; the
+one exception is the worker-lifetime test, which kills a real process
+and polls (with a generous deadline) for its pool workers to exit.
 """
 
 import errno
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.resilience.errors import (
     CorruptArtifact,
@@ -338,3 +347,52 @@ class TestCleanOrphanTmps:
 
     def test_missing_directory_is_a_noop(self, tmp_path):
         assert clean_orphan_tmps(tmp_path / "nope") == 0
+
+
+# ---------------------------------------------------------------------------
+# pool workers do not outlive their parent
+# ---------------------------------------------------------------------------
+
+_POOL_OWNER = """
+import time
+from repro.resilience.supervisor import SupervisedPool
+pool = SupervisedPool(2)
+print(*(w["pid"] for w in pool.status()["workers"]), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_pool_workers_exit_when_their_owner_is_terminated():
+    """SIGTERM skips every cleanup hook of the pool's owner; its forked
+    workers must still notice the loss of their parent and exit."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    owner = subprocess.Popen([sys.executable, "-c", _POOL_OWNER], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(p) for p in owner.stdout.readline().split()]
+        assert len(pids) == 2
+        owner.send_signal(signal.SIGTERM)
+        owner.wait(timeout=10)
+        deadline = time.monotonic() + 30.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [p for p in pids if _running(p)]
+        for p in survivors:  # do not leak them past a failing run
+            os.kill(p, signal.SIGKILL)
+        assert survivors == [], f"orphaned pool workers: {survivors}"
+    finally:
+        if owner.poll() is None:
+            owner.kill()
+            owner.wait()
