@@ -28,7 +28,6 @@ engine logged an error.  Report: ``results/CHAOS_cluster_report.json``.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -37,6 +36,9 @@ from ..resilience.chaos import (
     DEFAULT_WIDTHS,
     DEFAULT_WORKLOADS,
     _run_serve,
+    check_row,
+    finish_report,
+    identity_check,
 )
 from ..service.client import ServiceClient
 from ..service.keys import request_key, workload_fingerprint
@@ -144,29 +146,17 @@ def run_cluster_chaos(*, nodes: int = 3, jobs: int = 1,
         cluster.stop()
 
     checks = [
-        {"check": "batch served byte-identically across the kill",
-         "expected": len(base),
-         "observed": sum(1 for k in base if got.get(k) == base[k]),
-         "ok": got == base},
-        {"check": "post-kill re-request byte-identical",
-         "expected": len(base),
-         "observed": sum(1 for k in base if got3.get(k) == base[k]),
-         "ok": got3 == base},
-        {"check": "router failovers exactly as ring-predicted",
-         "expected": predicted_failovers,
-         "observed": counters["failovers"],
-         "ok": counters["failovers"] == predicted_failovers},
-        {"check": "lost artifacts recomputed exactly once each",
-         "expected": len(victim_first), "observed": misses,
-         "ok": misses == len(victim_first)},
-        {"check": "no unroutable requests",
-         "expected": 0, "observed": counters["unroutable"],
-         "ok": counters["unroutable"] == 0},
-        {"check": "surviving engines logged zero errors",
-         "expected": 0, "observed": survivor_errors,
-         "ok": survivor_errors == 0},
+        identity_check("batch served byte-identically across the kill",
+                       base, got),
+        identity_check("post-kill re-request byte-identical", base, got3),
+        check_row("router failovers exactly as ring-predicted",
+                  predicted_failovers, counters["failovers"]),
+        check_row("lost artifacts recomputed exactly once each",
+                  len(victim_first), misses),
+        check_row("no unroutable requests", 0, counters["unroutable"]),
+        check_row("surviving engines logged zero errors", 0,
+                  survivor_errors),
     ]
-    ok = all(c["ok"] for c in checks)
     report = {
         "mode": "cluster",
         "grid": {"workloads": list(workloads), "levels": list(levels),
@@ -177,18 +167,7 @@ def run_cluster_chaos(*, nodes: int = 3, jobs: int = 1,
                          "second_half": len(victim_second)},
         "router": counters,
         "checks": checks,
-        "ok": ok,
+        "ok": all(c["ok"] for c in checks),
         "elapsed_s": round(time.monotonic() - t0, 2),
     }
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2))
-    if verbose:
-        for c in checks:
-            mark = "ok " if c["ok"] else "FAIL"
-            print(f"  [{mark}] {c['check']}: expected {c['expected']}, "
-                  f"observed {c['observed']}")
-        where = f" -> {out}" if out is not None else ""
-        print(f"cluster chaos: {'PASS' if ok else 'FAIL'} "
-              f"({report['elapsed_s']}s){where}")
-    return report
+    return finish_report(report, out, "cluster chaos", verbose)

@@ -108,14 +108,13 @@ class ProcessCluster:
     def __init__(self, n: int = 3, store_root: Path | None = None,
                  jobs: int = 1, max_pending: int = 64,
                  default_timeout: float = 120.0, host: str = "127.0.0.1",
-                 fault_plan: str | None = None, quiet: bool = True):
+                 quiet: bool = True):
         self.n = n
         self.store_root = Path(store_root) if store_root is not None else None
         self.jobs = jobs
         self.max_pending = max_pending
         self.default_timeout = default_timeout
         self.host = host
-        self.fault_plan = fault_plan
         self.quiet = quiet
         self.urls: list[str] = []
         self.procs: dict[str, subprocess.Popen] = {}
@@ -138,8 +137,6 @@ class ProcessCluster:
                    "--timeout", str(self.default_timeout)]
             if self.store_root is not None:
                 cmd += ["--store", str(self.store_root / f"node{i}")]
-            if self.fault_plan:
-                cmd += ["--fault-plan", self.fault_plan]
             out = subprocess.DEVNULL if self.quiet else None
             self.procs[self.urls[i]] = subprocess.Popen(
                 cmd, env=env, stdout=out, stderr=out)
@@ -185,11 +182,6 @@ class ProcessCluster:
 
 def _serve_node_forever(args) -> int:
     """Internal ``--serve-node`` entry: one node process of a cluster."""
-    if args.fault_plan:
-        from ..resilience import faults
-        from ..resilience.faults import FaultPlan
-
-        faults.arm(FaultPlan.from_file(args.fault_plan))
     httpd, engine, cluster = make_node(
         host=args.host, port=args.port, store_dir=args.store,
         jobs=args.jobs, max_pending=args.max_pending,
@@ -224,8 +216,6 @@ def main(argv=None) -> int:
                     help="worker processes per node (default: 1)")
     ap.add_argument("--max-pending", type=int, default=64, metavar="N")
     ap.add_argument("--timeout", type=float, default=120.0)
-    ap.add_argument("--fault-plan", metavar="FILE", default=None,
-                    help="arm this fault plan inside every node")
     ap.add_argument("--verbose", action="store_true")
     # internal: run as a single node process of a cluster
     ap.add_argument("--serve-node", action="store_true",
@@ -239,7 +229,7 @@ def main(argv=None) -> int:
     cluster = ProcessCluster(
         n=args.nodes, store_root=args.store, jobs=args.jobs,
         max_pending=args.max_pending, default_timeout=args.timeout,
-        host=args.host, fault_plan=args.fault_plan, quiet=not args.verbose)
+        host=args.host, quiet=not args.verbose)
     cluster.start()
     httpd, _router, url = serve_router_background(
         cluster.urls, host=args.host, port=args.port,

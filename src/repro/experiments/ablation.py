@@ -19,9 +19,10 @@ the table is cheap to regenerate; ``--workloads all`` covers the full
 corpus.  Results land in ``results/ablation.txt``.
 
 The grid of (workload, ablated-pass) measurements is embarrassingly
-parallel; ``--jobs N`` fans it out over the sweep engine's fork-based
-process pool with a deterministic merge, so serial and parallel
-ablations produce identical tables.
+parallel; ``--jobs N`` fans it out over the resilience layer's
+:class:`~repro.resilience.supervisor.SupervisedPool` (the sweep's
+pool) and collects results in submission order, so serial and
+parallel ablations produce identical tables.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from ..machine import MachineConfig
 from ..passes import PassOptions
 from ..passes.registry import ablatable_passes, get_pass
 from ..pipeline import Level
+from ..resilience.supervisor import SupervisedPool
 from ..workloads import Workload, all_workloads, get_workload
-from .sweep import _fork_pool, default_cache_path, run_config
+from .sweep import default_cache_path, run_config
 
 #: the differential-oracle CI subset: fast, and spanning FP DOALL,
 #: reductions, searches with side exits, and serial recurrences
@@ -70,7 +72,7 @@ class AblationData:
 def _ablation_task(task: tuple) -> tuple:
     """One (workload, ablated-pass) measurement: the pair of cycle counts
     its contribution is computed from.  ``pass_name=None`` measures the
-    full pipeline.  Module-level so the fork pool can pickle it; the
+    full pipeline.  Module-level so the pool can pickle it; the
     worker-process classical-stage cache (keyed by disable set) is
     shared with the sweep engine.
     """
@@ -108,8 +110,9 @@ def run_ablation(
     validates every ablated run against the workload's NumPy reference,
     so a pass whose removal *breaks* correctness is reported as a
     failure, not silently tabulated.  ``jobs > 1`` distributes the
-    (workload, pass) grid over a process pool; the merge is
-    deterministic, so serial and parallel tables are identical.
+    (workload, pass) grid over the supervised pool; results are
+    collected in submission order, so serial and parallel tables are
+    identical.
     """
     t0 = time.time()
     workloads = workloads if workloads is not None else [
@@ -131,8 +134,9 @@ def run_ablation(
         for w in workloads for pass_name in (None, *plist)
     ]
     if jobs > 1 and len(tasks) > 1:
-        with _fork_pool(jobs) as pool:
-            outs = list(pool.map(_ablation_task, tasks))
+        with SupervisedPool(jobs) as pool:
+            futs = [pool.submit(_ablation_task, t) for t in tasks]
+            outs = [f.result() for f in futs]
     else:
         outs = [_ablation_task(t) for t in tasks]
 

@@ -22,9 +22,10 @@ exploits both:
   :func:`evaluate_cell` is the one implementation of a cell; the sweep,
   :func:`run_config` and the service's ``compute_cell`` format its
   records.
-* **Process parallelism.**  ``jobs > 1`` fans tasks out over a
-  ``fork``-based process pool.  Results are merged deterministically
-  (sorted by grid key), so serial and parallel sweeps are bit-identical.
+* **Process parallelism.**  ``jobs > 1`` fans tasks out over the
+  ``fork``-based :class:`~repro.resilience.supervisor.SupervisedPool`.
+  Results are merged deterministically (sorted by grid key), so serial
+  and parallel sweeps are bit-identical.
 * **Resumability.**  Each finished configuration is appended to a JSONL
   *journal*; an interrupted sweep rerun with the same journal reloads
   the finished configurations and computes only the missing ones.
@@ -45,11 +46,9 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -78,7 +77,14 @@ from ..workloads import Workload, all_workloads, check_run, get_workload
 
 
 class SweepError(RuntimeError):
-    """One or more grid cells failed permanently (details in ``args``)."""
+    """One or more grid cells failed permanently.  Raised after the rest
+    of the grid finished; ``data`` is that partial :class:`SweepData`,
+    with the failed cells in ``data.failed``."""
+
+    def __init__(self, message: str, data: "SweepData"):
+        super().__init__(message)
+        self.data = data
+
 
 WIDTHS = (1, 2, 4, 8)
 #: 4 added per-phase timing fields and partial-grid journals; version-3
@@ -132,8 +138,8 @@ class SweepData:
     #: supervised-pool counters (redispatched, retries, deadline_kills,
     #: worker_restarts, ...) from a ``jobs > 1`` run; empty when serial
     resilience: dict = field(default_factory=dict)
-    #: (cell, error) pairs for cells that failed permanently (only
-    #: populated with ``strict=False``; strict sweeps raise instead)
+    #: (cell, error) pairs for cells that failed permanently (the sweep
+    #: then raises :class:`SweepError` carrying this data)
     failed: list = field(default_factory=list)
 
     def get(self, name: str, level: Level, width: int) -> ConfigResult:
@@ -407,23 +413,17 @@ def read_journal(
     return results
 
 
-def _fork_pool(jobs: int) -> ProcessPoolExecutor:
-    # fork (not spawn) so workers inherit the parent's PYTHONHASHSEED:
-    # several passes iterate sets of enum members, whose hashes vary with
-    # the seed, and bit-identical serial/parallel results require every
-    # process to break those ties the same way.
-    return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
-    )
-
-
 def _run_supervised(tasks, record, data: SweepData, jobs: int,
                     deadline_s: float | None, result_key) -> None:
     """Fan tasks out over the supervised pool: crashed/hung workers are
     replaced and their tasks re-dispatched; a permanently failing cell is
     recorded in ``data.failed`` instead of aborting the grid.  Tasks are
     keyed by canonical request key so a re-dispatched task's late
-    duplicate can never double-count a configuration."""
+    duplicate can never double-count a configuration.  The pool forks
+    (not spawns), so workers inherit the parent's ``PYTHONHASHSEED``:
+    several passes iterate sets of enum members, and bit-identical
+    serial/parallel results need every process to break those ties the
+    same way."""
     from concurrent.futures import as_completed
 
     with SupervisedPool(jobs, deadline_s=deadline_s) as pool:
@@ -456,9 +456,7 @@ def run_sweep(
     check_ir: bool = False,
     options: PassOptions | None = None,
     store=None,
-    supervise: bool = True,
     deadline_s: float | None = None,
-    strict: bool = True,
     engine: str = "auto",
 ) -> SweepData:
     """Run the evaluation grid.
@@ -469,7 +467,7 @@ def run_sweep(
     ``"interp"`` forces the tuple interpreter.  Both produce identical
     results, so the engine is *not* part of the journal/store identity.
 
-    ``jobs > 1`` distributes (workload, level) tasks over a process pool.
+    ``jobs > 1`` distributes (workload, level) tasks over worker processes.
     With a ``journal`` path, every finished configuration is appended as a
     JSON line; rerunning with ``resume=True`` (the default) reloads the
     finished part and computes only the remainder.  Serial, parallel,
@@ -485,15 +483,14 @@ def run_sweep(
     computed configuration is written back, so a second sweep against
     the same store is near-free.
 
-    ``supervise`` (default) runs the parallel pool under the resilience
-    layer's :class:`~repro.resilience.supervisor.SupervisedPool`: a
-    worker lost to a crash or a hang (past ``deadline_s``) is replaced
-    and its task re-dispatched, deduplicated by canonical request key,
-    instead of killing the whole sweep; counters land in
-    ``SweepData.resilience``.  A cell that fails permanently (retries
-    exhausted or circuit breaker open) raises :class:`SweepError` after
-    the rest of the grid finishes — or, with ``strict=False``, is
-    recorded in ``SweepData.failed`` and the sweep returns partial.
+    The parallel pool is the resilience layer's
+    :class:`~repro.resilience.supervisor.SupervisedPool`: a worker lost
+    to a crash or a hang (past ``deadline_s``) is replaced and its task
+    re-dispatched, deduplicated by canonical request key, instead of
+    killing the whole sweep; counters land in ``SweepData.resilience``.
+    A cell that fails permanently (retries exhausted or circuit breaker
+    open) raises :class:`SweepError` after the rest of the grid
+    finishes; the error carries the partial result as ``.data``.
     """
     workloads = workloads or all_workloads()
     data = SweepData()
@@ -599,13 +596,8 @@ def run_sweep(
 
     try:
         if jobs > 1 and len(tasks) > 1:
-            if supervise:
-                _run_supervised(tasks, record, data, jobs, deadline_s,
-                                result_key)
-            else:
-                with _fork_pool(jobs) as pool:
-                    for rs in pool.map(_run_task, tasks):
-                        record(rs)
+            _run_supervised(tasks, record, data, jobs, deadline_s,
+                            result_key)
         else:
             for task in tasks:
                 record(_run_task(task))
@@ -613,18 +605,16 @@ def run_sweep(
         if jf is not None:
             jf.close()
 
-    if data.failed:
-        print(f"  sweep: {len(data.failed)} cell(s) failed permanently: "
-              + ", ".join(f"{c[0]}/L{c[1]}" for c, _ in data.failed),
-              file=sys.stderr)
-        if strict:
-            raise SweepError(
-                f"{len(data.failed)} cell(s) failed permanently", data.failed)
-
     # deterministic merge: identical key order no matter which process
     # finished first or how much came from the journal
     data.results = dict(sorted(data.results.items()))
     data.elapsed = time.time() - t0
+    if data.failed:
+        print(f"  sweep: {len(data.failed)} cell(s) failed permanently: "
+              + ", ".join(f"{c[0]}/L{c[1]}" for c, _ in data.failed),
+              file=sys.stderr)
+        raise SweepError(
+            f"{len(data.failed)} cell(s) failed permanently", data)
     return data
 
 

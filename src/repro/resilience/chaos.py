@@ -156,7 +156,7 @@ def _run_sweep(workloads, levels, widths, jobs, root: Path,
         [get_workload(n) for n in workloads],
         levels=tuple(Level(lv) for lv in levels), widths=tuple(widths),
         jobs=jobs, journal=root / "journal.jsonl", resume=False,
-        store=store, deadline_s=deadline_s, strict=True,
+        store=store, deadline_s=deadline_s,
     )
     return _canon_sweep(data), dict(data.resilience), store
 
@@ -193,15 +193,44 @@ def _run_serve(workloads, levels, widths, jobs, store_dir: Path,
 # ---------------------------------------------------------------------------
 
 
+def check_row(name: str, expected, observed, op: str = "==") -> dict:
+    """One reconciliation check: ``observed`` against ``expected``."""
+    ok = observed >= expected if op == ">=" else observed == expected
+    return {"check": name, "expected": expected, "observed": observed,
+            "ok": bool(ok)}
+
+
+def identity_check(name: str, base: dict, got: dict) -> dict:
+    """The check that a faulted run's results equal the baseline's."""
+    return {"check": name, "expected": len(base),
+            "observed": sum(1 for k in base if got.get(k) == base[k]),
+            "ok": got == base}
+
+
+def finish_report(report: dict, out: Path | None, label: str,
+                  verbose: bool) -> dict:
+    """Write ``report`` to ``out`` (if given) and print its checks."""
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(report, indent=2))
+    if verbose:
+        for c in report["checks"]:
+            mark = "ok " if c["ok"] else "FAIL"
+            print(f"  [{mark}] {c['check']}: expected {c['expected']}, "
+                  f"observed {c['observed']}")
+        where = f" -> {out}" if out is not None else ""
+        print(f"{label}: {'PASS' if report['ok'] else 'FAIL'} "
+              f"({report['elapsed_s']}s){where}")
+    return report
+
+
 def _reconcile(plan, site_names, keys_task, keys_blob, resilience,
                store_stats, injected, client_retries=None) -> list[dict]:
     """Per-site checks: predicted injections vs. recovery counters."""
     checks = []
 
-    def check(name, expected, observed, op="=="):
-        ok = observed >= expected if op == ">=" else observed == expected
-        checks.append({"check": name, "expected": expected,
-                       "observed": observed, "ok": bool(ok)})
+    def check(*args):
+        checks.append(check_row(*args))
 
     if "worker.kill" in site_names:
         check("worker.kill -> redispatched",
@@ -251,12 +280,9 @@ def _verify_store_recovery(store_dir: Path, plan, keys_blob) -> list[dict]:
     torn = _expected_quarantines(plan, keys_blob)
     hits = sum(1 for k in keys_blob if store.get(k) is not None)
     return [
-        {"check": "torn blobs quarantined on read", "expected": torn,
-         "observed": store.stats.quarantined,
-         "ok": store.stats.quarantined == torn},
-        {"check": "non-torn blobs all readable",
-         "expected": len(keys_blob) - torn, "observed": hits,
-         "ok": hits == len(keys_blob) - torn},
+        check_row("torn blobs quarantined on read", torn,
+                  store.stats.quarantined),
+        check_row("non-torn blobs all readable", len(keys_blob) - torn, hits),
     ]
 
 
@@ -302,10 +328,8 @@ def run_chaos(plan_spec: str = "all", *, seed: int = 0, jobs: int = 2,
             deadline_s=deadline_s)
         sweep_injected = dict(plan.injected)
 
-    checks = [{"check": "sweep results identical under faults",
-               "expected": len(base), "observed": sum(
-                   1 for k in base if got.get(k) == base[k]),
-               "ok": got == base}]
+    checks = [identity_check("sweep results identical under faults",
+                             base, got)]
     checks += _reconcile(plan, site_names, keys_task, keys_blob,
                          resilience, store.stats.as_dict(), sweep_injected)
     if site_names & {"store.torn_write", "store.enospc", "store.eio"}:
@@ -334,10 +358,8 @@ def run_chaos(plan_spec: str = "all", *, seed: int = 0, jobs: int = 2,
                 workdir / "serve-armed" / "store",
                 pool_deadline_s=2.0 if has_hang else 120.0)
             serve_injected = dict(plan2.injected)
-        serve_checks = [{"check": "served results identical under faults",
-                         "expected": len(base_s), "observed": sum(
-                             1 for k in base_s if got_s.get(k) == base_s[k]),
-                         "ok": got_s == base_s}]
+        serve_checks = [identity_check(
+            "served results identical under faults", base_s, got_s)]
         serve_checks += _reconcile(
             plan2, site_names, serve_keys_task, serve_keys_blob,
             metrics.get("resilience", {}),
@@ -352,7 +374,6 @@ def run_chaos(plan_spec: str = "all", *, seed: int = 0, jobs: int = 2,
         }
         checks += serve_checks
 
-    ok = all(c["ok"] for c in checks)
     report = {
         "plan": json.loads(plan.to_json()),
         "plan_name": plan_spec,
@@ -363,21 +384,10 @@ def run_chaos(plan_spec: str = "all", *, seed: int = 0, jobs: int = 2,
                   "store": store.stats.as_dict()},
         "serve": serve_report,
         "checks": checks,
-        "ok": ok,
+        "ok": all(c["ok"] for c in checks),
         "elapsed_s": round(time.monotonic() - t0, 2),
     }
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2))
-    if verbose:
-        for c in checks:
-            mark = "ok " if c["ok"] else "FAIL"
-            print(f"  [{mark}] {c['check']}: expected {c['expected']}, "
-                  f"observed {c['observed']}")
-        where = f" -> {out}" if out is not None else ""
-        print(f"chaos: {'PASS' if ok else 'FAIL'} "
-              f"({report['elapsed_s']}s){where}")
-    return report
+    return finish_report(report, out, "chaos", verbose)
 
 
 def main(argv=None) -> int:
@@ -389,10 +399,12 @@ def main(argv=None) -> int:
                     "identical to a fault-free run and every fault is "
                     "accounted for by a recovery counter.",
     )
-    ap.add_argument("--plan", default="all",
+    # --plan, --seed and --no-serve default to None/False so that
+    # passing any of them with --cluster (which ignores them) is caught
+    ap.add_argument("--plan", default=None,
                     help="builtin plan name (%s) or a FaultPlan JSON file "
                          "(default: all)" % ", ".join(BUILTIN_PLANS))
-    ap.add_argument("--seed", type=int, default=0,
+    ap.add_argument("--seed", type=int, default=None,
                     help="fault-plan seed (default: 0)")
     ap.add_argument("--jobs", type=int, default=2, metavar="N",
                     help="worker processes (default: 2)")
@@ -428,6 +440,13 @@ def main(argv=None) -> int:
     if args.cluster:
         from ..cluster.chaos import run_cluster_chaos
 
+        ignored = [flag for flag, given in (
+            ("--plan", args.plan is not None),
+            ("--seed", args.seed is not None),
+            ("--no-serve", args.no_serve)) if given]
+        if ignored:
+            ap.error(f"--cluster does not take {', '.join(ignored)}")
+
         out = args.out
         if out == "results/CHAOS_report.json":  # keep reports separate
             out = "results/CHAOS_cluster_report.json"
@@ -442,7 +461,7 @@ def main(argv=None) -> int:
         return 0 if report["ok"] else 1
 
     report = run_chaos(
-        args.plan, seed=args.seed, jobs=args.jobs,
+        args.plan or "all", seed=args.seed or 0, jobs=args.jobs,
         workloads=tuple(args.workloads.split(",")),
         levels=tuple(int(x) for x in args.levels.split(",")),
         widths=tuple(int(x) for x in args.widths.split(",")),

@@ -1,19 +1,20 @@
 """Structured error taxonomy for the fault-tolerant paths.
 
 Every I/O-adjacent failure in the sweep/store/service stack falls into
-one of three classes, and the handling rule is uniform:
+one of two classes, and the handling rule is uniform:
 
 * **Transient** — the operation may succeed if retried (``ENOSPC`` after
   eviction, ``EIO`` on a flaky disk, ``EAGAIN``, a dropped connection).
   Retried under a :class:`~repro.resilience.retry.RetryPolicy`; if the
   budget runs out the caller degrades (e.g. a result is served but not
   persisted) instead of crashing.
-* **Corrupt** — the data is damaged but the system is healthy (torn
-  blob, undecodable journal line).  Quarantined/skipped and recomputed;
-  never retried in place (rereading torn bytes cannot help).
 * **Fatal** — a programming error or an unrecoverable environment
   problem (permission denied on the store root, read-only filesystem).
   Raised: masking it would silently corrupt hours of results.
+
+Damaged *data* (a torn blob, an undecodable journal line) is not an
+exception class: the reader that finds it quarantines or skips it
+inline and the result is recomputed.
 
 The classifier below maps ``OSError`` values onto the taxonomy; the
 store's eviction path and the job engine's admission/persist paths used
@@ -31,10 +32,6 @@ from pathlib import Path
 
 class TransientError(Exception):
     """Retryable: the same operation may succeed shortly."""
-
-
-class CorruptArtifact(Exception):
-    """Damaged data: quarantine/skip and recompute, do not retry."""
 
 
 class FatalError(Exception):
@@ -62,14 +59,10 @@ def classify_os_error(exc: OSError) -> str:
 
 
 def classify_exception(exc: BaseException) -> str:
-    """Map any exception onto the taxonomy: ``transient`` | ``corrupt``
-    | ``fatal``."""
+    """Map any exception onto the taxonomy: ``transient`` | ``fatal``
+    (:class:`FatalError` and anything unrecognised are fatal)."""
     if isinstance(exc, TransientError):
         return "transient"
-    if isinstance(exc, CorruptArtifact):
-        return "corrupt"
-    if isinstance(exc, FatalError):
-        return "fatal"
     if isinstance(exc, OSError):
         return classify_os_error(exc)
     return "fatal"
@@ -86,11 +79,11 @@ def log_tolerated(where: str, exc: BaseException) -> None:
 # ---------------------------------------------------------------------------
 
 #: a tmp file younger than this may belong to a live writer; leave it
-DEFAULT_TMP_GRACE_S = 600.0
+TMP_GRACE_S = 600.0
 
 
-def clean_orphan_tmps(root: Path, grace_s: float = DEFAULT_TMP_GRACE_S,
-                      recursive: bool = True, now: float | None = None) -> int:
+def clean_orphan_tmps(root: Path, recursive: bool = True,
+                      now: float | None = None) -> int:
     """Remove ``*.tmp`` droppings left by a writer that died between its
     tmp write and the atomic rename.
 
@@ -98,7 +91,7 @@ def clean_orphan_tmps(root: Path, grace_s: float = DEFAULT_TMP_GRACE_S,
     ``tmp + os.replace``; a crash in the window strands the tmp file
     forever (a new writer picks a fresh pid-stamped name).  Called on
     startup by the store and the sweep driver.  Only files older than
-    ``grace_s`` go: a fresh tmp may be another live process mid-write.
+    ``TMP_GRACE_S`` go: a fresh tmp may be another live process mid-write.
     Returns the number of files removed; errors while removing are
     tolerated (another janitor may have won the race).
     """
@@ -109,7 +102,7 @@ def clean_orphan_tmps(root: Path, grace_s: float = DEFAULT_TMP_GRACE_S,
     pattern = "**/*.tmp" if recursive else "*.tmp"
     for p in root.glob(pattern):
         try:
-            if not p.is_file() or now - p.stat().st_mtime < grace_s:
+            if not p.is_file() or now - p.stat().st_mtime < TMP_GRACE_S:
                 continue
             p.unlink()
             removed += 1

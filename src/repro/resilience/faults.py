@@ -175,10 +175,6 @@ def arm(plan: FaultPlan | None) -> None:
     ARMED = plan
 
 
-def disarm() -> None:
-    arm(None)
-
-
 @contextlib.contextmanager
 def armed(plan: FaultPlan):
     """``with faults.armed(plan): ...`` — arm for a scope, restore after."""

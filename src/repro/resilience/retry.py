@@ -1,9 +1,9 @@
-"""The one shared retry policy: capped exponential backoff, full jitter.
+"""The one shared retry loop: capped exponential backoff, full jitter.
 
-Used by the client SDK (dropped connections, 429/503 shedding), the
-artifact store's write/rename paths (transient ``OSError``), and the
-supervised pool's task re-dispatch.  One policy object describes the
-schedule; :func:`retry_call` executes it.  All time sources are
+Used by the client SDK (dropped connections, 429/503 shedding) and the
+artifact store's write/rename paths (transient ``OSError``).  One
+policy object describes the schedule; :func:`retry_call` is the only
+loop that executes it.  All time sources are
 injectable so the unit tests run the whole schedule on a fake clock.
 
 Design points (the AWS "exponential backoff and jitter" results):

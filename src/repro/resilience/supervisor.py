@@ -1,12 +1,12 @@
 """Supervised fork worker pool: heartbeats, deadlines, re-dispatch.
 
-The sweep engine and the job engine both fan work out over ``fork``-ed
-worker processes.  The plain :class:`ProcessPoolExecutor` they used
-treats one dead worker as the end of the world: every pending future
-fails with ``BrokenProcessPool`` and hours of grid results die with a
-single OOM-kill.  :class:`SupervisedPool` keeps the same fork-pool
-shape (workers inherit the parent's warm caches and
-``PYTHONHASHSEED``) and adds supervision:
+The sweep engine, the ablation grid and the job engine all fan work
+out over ``fork``-ed worker processes, and all of them use this one
+pool.  A bare executor treats one dead worker as the end of the world:
+every pending future fails and hours of grid results die with a single
+OOM-kill.  :class:`SupervisedPool` keeps the fork-pool shape (workers
+inherit the parent's warm caches and ``PYTHONHASHSEED``, so parallel
+results are bit-identical to serial ones) and adds supervision:
 
 * **Per-worker channels.**  Each worker owns a private inbox/outbox
   pipe pair with exactly one writer per end — there is no shared queue
@@ -14,26 +14,30 @@ shape (workers inherit the parent's warm caches and
   its siblings.
 * **Heartbeat watchdog.**  A daemon thread in every worker beats on the
   outbox; a worker that stops beating (stuck in an uninterruptible
-  syscall, swapped to death) past ``heartbeat_timeout_s`` is killed and
-  replaced.
+  syscall, swapped to death) past :data:`HEARTBEAT_TIMEOUT_S` is killed
+  and replaced.
 * **Per-task deadlines.**  A task running past its deadline marks the
   worker hung: SIGKILL, respawn, re-dispatch.
 * **Bounded re-dispatch with dedup.**  A task lost to a crashed/hung
-  worker is re-dispatched up to ``max_retries`` times.  Tasks are
+  worker is re-dispatched up to :data:`MAX_RETRIES` times.  Tasks are
   identified by their canonical request key
   (:mod:`repro.service.keys`), and only the first completion of a task
   resolves its future — a straggler's late duplicate is counted and
   dropped, never double-recorded.
 * **Circuit breaker per cell.**  Failures are recorded against the
-  task's *cell* (a (workload, level) coordinate); ``failure_threshold``
-  consecutive failures open the breaker and subsequent submissions for
-  that cell fail fast with :class:`CellQuarantined` instead of burning
-  the pool — one broken kernel quarantines itself, the rest of the
-  sweep completes.
+  task's *cell* (a (workload, level) coordinate);
+  :data:`FAILURE_THRESHOLD` consecutive failures open the breaker and
+  subsequent submissions for that cell fail fast with
+  :class:`CellQuarantined` instead of burning the pool — one broken
+  kernel quarantines itself, the rest of the sweep completes.
 
 In-task exceptions follow the :mod:`~repro.resilience.errors`
 taxonomy: ``transient`` failures are retried (in place, same pool),
 everything else fails the task's future after feeding the breaker.
+
+The tuning values below are module constants, not constructor options:
+every caller runs the same grid cells, and none ever chose different
+values.  A caller picks only the worker count and the task deadline.
 """
 
 from __future__ import annotations
@@ -52,9 +56,19 @@ from multiprocessing.connection import wait as _conn_wait
 from . import faults
 from .errors import FatalError, TransientError, classify_exception
 
-
-class TaskLost(TransientError):
-    """The worker running the task died or was killed by the watchdog."""
+#: re-dispatches of a task lost to a crashed/hung worker or failed
+#: transiently, after its first attempt
+MAX_RETRIES = 2
+#: consecutive failures of one cell that open its circuit breaker
+FAILURE_THRESHOLD = 5
+#: how long an open breaker fails fast before its half-open probe
+BREAKER_COOLDOWN_S = 30.0
+#: worker heartbeat period, and the silence after which a busy worker
+#: counts as wedged and is killed
+HEARTBEAT_INTERVAL_S = 0.25
+HEARTBEAT_TIMEOUT_S = 15.0
+#: supervisor wake-up period while waiting on worker channels
+POLL_S = 0.02
 
 
 class CellQuarantined(RuntimeError):
@@ -76,8 +90,8 @@ class CircuitBreaker:
     half-open (one probe after ``cooldown_s``) → closed on success,
     back to open on a failed probe.  ``clock`` is injectable for tests."""
 
-    failure_threshold: int = 5
-    cooldown_s: float = 30.0
+    failure_threshold: int
+    cooldown_s: float
     clock: object = time.monotonic
     state: str = "closed"
     failures: int = 0
@@ -113,9 +127,6 @@ class CircuitBreaker:
 # the worker process
 # ---------------------------------------------------------------------------
 
-HEARTBEAT_INTERVAL_S = 0.25
-
-
 def _apply_worker_faults(plan: faults.FaultPlan, key: str, attempt: int) -> None:
     """The worker-side fault sites, in severity order."""
     s = plan.fire("worker.kill", key, attempt)
@@ -133,7 +144,7 @@ def _apply_worker_faults(plan: faults.FaultPlan, key: str, attempt: int) -> None
         raise exc(f"injected worker.error for {key} (attempt {attempt})")
 
 
-def _worker_main(inbox, outbox, hb_interval: float) -> None:
+def _worker_main(inbox, outbox) -> None:
     """Worker loop: recv (task_id, attempt, key, fn, arg), send results.
 
     The outbox has two in-process writers (main loop + heartbeat
@@ -157,7 +168,7 @@ def _worker_main(inbox, outbox, hb_interval: float) -> None:
 
     def beat():
         while os.getppid() == parent and send(("hb", None, None)):
-            time.sleep(hb_interval)
+            time.sleep(HEARTBEAT_INTERVAL_S)
         os._exit(0)
 
     threading.Thread(target=beat, daemon=True, name="hb").start()
@@ -193,7 +204,6 @@ class _Task:
     fn: object
     arg: object
     future: Future
-    deadline_s: float | None
     attempts: int = 0  # dispatches so far
 
 
@@ -213,28 +223,12 @@ class SupervisedPool:
 
     ``submit(fn, arg, key=..., cell=...)`` returns a
     :class:`concurrent.futures.Future`.  ``fn`` must be a module-level
-    callable (same contract as ProcessPoolExecutor under fork).
+    callable (it is pickled to a forked worker).  ``deadline_s`` is the
+    deadline of every task (None = no deadline).
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        deadline_s: float | None = None,
-        max_retries: int = 2,
-        failure_threshold: int = 5,
-        breaker_cooldown_s: float = 30.0,
-        heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
-        heartbeat_timeout_s: float = 15.0,
-        poll_s: float = 0.02,
-    ):
+    def __init__(self, jobs: int, *, deadline_s: float | None = None):
         self.deadline_s = deadline_s
-        self.max_retries = max_retries
-        self.failure_threshold = failure_threshold
-        self.breaker_cooldown_s = breaker_cooldown_s
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.poll_s = poll_s
         self._ctx = multiprocessing.get_context("fork")
         self._ids = itertools.count(1)
         self._wids = itertools.count(1)
@@ -260,8 +254,7 @@ class SupervisedPool:
 
     # -- public API ------------------------------------------------------
 
-    def submit(self, fn, arg, *, key: str | None = None, cell=None,
-               deadline_s: float | None = None) -> Future:
+    def submit(self, fn, arg, *, key: str | None = None, cell=None) -> Future:
         fut: Future = Future()
         with self._lock:
             if self._closed:
@@ -275,8 +268,7 @@ class SupervisedPool:
                         f"cell {cell!r} quarantined after "
                         f"{b.failures} consecutive failures"))
                     return fut
-            t = _Task(next(self._ids), key or "", cell, fn, arg, fut,
-                      deadline_s if deadline_s is not None else self.deadline_s)
+            t = _Task(next(self._ids), key or "", cell, fn, arg, fut)
             if not t.key:
                 t.key = f"task-{t.id}"
             self._tasks[t.id] = t
@@ -352,7 +344,7 @@ class SupervisedPool:
         p_out_r, c_out_s = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(c_in_r, c_out_s, self.heartbeat_interval_s),
+            args=(c_in_r, c_out_s),
             daemon=True, name=f"repro-worker-{wid}",
         )
         proc.start()
@@ -379,7 +371,7 @@ class SupervisedPool:
 
     def _rescue(self, t: _Task, reason: str) -> None:
         """Re-dispatch a task lost with its worker, if retries remain."""
-        if t.attempts <= self.max_retries:
+        if t.attempts <= MAX_RETRIES:
             self.counters["redispatched"] += 1
             with self._lock:
                 self._pending.appendleft(t)
@@ -393,7 +385,7 @@ class SupervisedPool:
         b = self._breakers.get(cell)
         if b is None:
             b = self._breakers[cell] = CircuitBreaker(
-                self.failure_threshold, self.breaker_cooldown_s)
+                FAILURE_THRESHOLD, BREAKER_COOLDOWN_S)
         return b
 
     def _finish_ok(self, t: _Task, result) -> None:
@@ -425,7 +417,7 @@ class SupervisedPool:
                     return
             self._dispatch()
             conns = {w.rconn: w for w in list(self._workers.values())}
-            ready = _conn_wait(list(conns), timeout=self.poll_s) if conns else ()
+            ready = _conn_wait(list(conns), timeout=POLL_S) if conns else ()
             now = time.monotonic()
             for conn in ready:
                 self._drain(conns[conn], now)
@@ -470,7 +462,7 @@ class SupervisedPool:
             self._finish_ok(t, payload)
             return
         text, severity = payload
-        if severity == "transient" and t.attempts <= self.max_retries:
+        if severity == "transient" and t.attempts <= MAX_RETRIES:
             self.counters["retries"] += 1
             with self._lock:
                 self._pending.appendleft(t)
@@ -481,11 +473,11 @@ class SupervisedPool:
         for w in list(self._workers.values()):
             if not w.proc.is_alive():
                 self._retire(w, now, "worker died")
-            elif (w.task is not None and w.task.deadline_s is not None
-                    and now - w.started > w.task.deadline_s):
+            elif (w.task is not None and self.deadline_s is not None
+                    and now - w.started > self.deadline_s):
                 self.counters["deadline_kills"] += 1
                 self._retire(w, now, "deadline expired")
             elif (w.task is not None
-                    and now - w.last_beat > self.heartbeat_timeout_s):
+                    and now - w.last_beat > HEARTBEAT_TIMEOUT_S):
                 self.counters["hb_kills"] += 1
                 self._retire(w, now, "heartbeat lost")

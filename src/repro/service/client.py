@@ -32,11 +32,13 @@ import urllib.error
 import urllib.request
 from datetime import datetime, timezone
 
-from ..resilience.retry import RetryPolicy, RetryState
+from ..resilience.retry import RetryPolicy, retry_call
 
 #: default transport retry schedule (connection drops, 503)
 CLIENT_RETRY = RetryPolicy(max_attempts=5, base_s=0.05, cap_s=2.0,
                            budget_s=30.0)
+#: ``retry=None``: exactly one attempt
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 def parse_retry_after(value: str | None, *, now: float | None = None
@@ -115,21 +117,14 @@ class ServiceClient:
             return self.retry_overloaded
         return isinstance(e, ServiceRequestError) and e.status == 503
 
+    def _count_retry(self, attempt, delay, exc) -> None:
+        self.retries += 1
+
     def _call(self, method: str, path: str, body: dict | None = None) -> dict:
-        if self.retry is None:
-            return self._call_once(method, path, body)
-        state = RetryState(self.retry)
-        while True:
-            try:
-                return self._call_once(method, path, body)
-            except (ServiceRequestError, ServiceUnavailable) as e:
-                if not self._retryable(e):
-                    raise
-                delay = state.next_delay(getattr(e, "retry_after", None))
-                if delay is None:
-                    raise
-                self.retries += 1
-                time.sleep(delay)
+        return retry_call(lambda: self._call_once(method, path, body),
+                          policy=self.retry or NO_RETRY,
+                          retryable=self._retryable,
+                          on_retry=self._count_retry, sleep=time.sleep)
 
     def _call_once(self, method: str, path: str,
                    body: dict | None = None) -> dict:

@@ -1,9 +1,10 @@
 """Async job engine: single-flight, batching, admission control.
 
-The engine owns an asyncio event loop on a background thread plus the
-sweep engine's ``fork``-based :class:`ProcessPoolExecutor`.  Requests
-enter from any thread (HTTP handler threads, the client-side of tests)
-via :meth:`JobEngine.submit`; results flow back through
+The engine owns an asyncio event loop on a background thread plus a
+``fork``-based :class:`~repro.resilience.supervisor.SupervisedPool`
+(the one worker pool the sweep uses too).  Requests enter from any
+thread (HTTP handler threads, the client-side of tests) via
+:meth:`JobEngine.submit`; results flow back through
 ``concurrent.futures`` bridges.
 
 Request lifecycle::
@@ -24,15 +25,15 @@ Request lifecycle::
   same future; only one computation runs.
 * **Batching** — requests that differ *only in issue width* land in the
   same *cell* (one (workload, level, seed, flags, disable) unit).  The
-  first request arms a ``batch_window`` timer; everything that joins
-  the cell before it fires is evaluated as one cell by the sweep's
+  first request arms a :data:`BATCH_WINDOW_S` timer; everything that
+  joins the cell before it fires is evaluated as one cell by the sweep's
   :func:`~repro.experiments.sweep.evaluate_cell` — one compilation,
   scheduled per width, a ``run`` cell executed once and replayed.
 * **Admission control, tiered** — at most ``max_pending`` accepted-but-
   unfinished configurations; past that, new requests are *shed*
   (:class:`Overloaded`, surfaced as HTTP 429).  Shedding is tiered:
   expensive sweep requests are shed earlier, at ``soft_pending``
-  (default 75% of ``max_pending``), keeping headroom so cheap single
+  (75% of ``max_pending``), keeping headroom so cheap single
   requests survive a burst.  A sweep request is admitted or shed
   atomically for all the configurations it expands to, so one oversized
   sweep cannot wedge the queue.
@@ -79,6 +80,10 @@ from ..resilience.supervisor import CellQuarantined, SupervisedPool
 from ..workloads import get_workload
 from .keys import request_key, workload_fingerprint
 from .store import ArtifactStore
+
+
+#: how long a cell batch stays open for width-compatible requests
+BATCH_WINDOW_S = 0.01
 
 
 class Overloaded(RuntimeError):
@@ -224,16 +229,12 @@ class JobEngine:
         store: ArtifactStore | None = None,
         jobs: int = 1,
         max_pending: int = 64,
-        batch_window: float = 0.01,
         default_timeout: float = 120.0,
-        soft_pending: int | None = None,
     ):
         self.store = store
         self.max_pending = max_pending
         #: sweep admission tier: sweeps shed here, singles at max_pending
-        self.soft_pending = (soft_pending if soft_pending is not None
-                             else max(1, (max_pending * 3) // 4))
-        self.batch_window = batch_window
+        self.soft_pending = max(1, (max_pending * 3) // 4)
         self.default_timeout = default_timeout
         # the supervised pool forks its workers in its constructor —
         # before the loop / HTTP threads exist, since forking a
@@ -450,7 +451,7 @@ class JobEngine:
             )
             self._cells[cell_id] = cell
             self._loop.call_later(
-                self.batch_window,
+                BATCH_WINDOW_S,
                 lambda: asyncio.ensure_future(self._fire_cell(cell_id)),
             )
         width = req["width"]

@@ -115,10 +115,6 @@ class ArtifactStore:
     #: envelope salt; artifacts written under any other salt are stale
     salt: str = CODE_VERSION
     stats: StoreStats = field(default_factory=StoreStats)
-    #: a tmp file older than this is an orphan (its writer is dead)
-    tmp_grace_s: float = 600.0
-    #: write/rename retry schedule for transient OSErrors
-    retry: RetryPolicy = PUT_RETRY
 
     def __post_init__(self):
         self.root = Path(self.root)
@@ -126,7 +122,7 @@ class ArtifactStore:
         self._quarantine = self.root / "quarantine"
         self._index_path = self.root / "index.json"
         self._objects.mkdir(parents=True, exist_ok=True)
-        self.stats.tmp_cleaned += clean_orphan_tmps(self.root, self.tmp_grace_s)
+        self.stats.tmp_cleaned += clean_orphan_tmps(self.root)
         #: per-key write-attempt sequence, so injected write faults fire
         #: on the first attempt and let the retry/recompute land clean
         self._fault_seq: Counter = Counter()
@@ -242,7 +238,7 @@ class ArtifactStore:
     def put(self, key: str, payload) -> Path | None:
         """Store a JSON-serializable payload under ``key`` atomically.
 
-        Transient write errors are retried under :attr:`retry`; if they
+        Transient write errors are retried under :data:`PUT_RETRY`; if they
         persist the put *degrades* — the blob is simply not stored (a
         future read is a miss and recomputes) and ``None`` is returned.
         Only fatal errors raise.
@@ -261,7 +257,7 @@ class ArtifactStore:
 
         try:
             retry_call(lambda: self._write_blob(path, key, data),
-                       policy=self.retry, on_retry=count_retry)
+                       policy=PUT_RETRY, on_retry=count_retry)
         except OSError as e:
             if classify_os_error(e) == "fatal":
                 raise

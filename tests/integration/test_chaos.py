@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.resilience import faults
+from repro.resilience import faults, supervisor
 from repro.resilience.chaos import load_plan, run_chaos
 from repro.resilience.faults import FaultPlan, FaultSite
 from repro.resilience.supervisor import (
@@ -81,12 +81,14 @@ class TestSupervisedPool:
                 assert pool.counters["retries"] == 0
                 assert pool.counters["tasks_failed"] == 1
 
-    def test_breaker_quarantines_a_persistently_failing_cell(self):
+    def test_breaker_quarantines_a_persistently_failing_cell(
+            self, monkeypatch):
+        monkeypatch.setattr(supervisor, "FAILURE_THRESHOLD", 2)
+        monkeypatch.setattr(supervisor, "BREAKER_COOLDOWN_S", 3600.0)
         plan = FaultPlan(seed=0, sites=(
             FaultSite("worker.error", rate=1.0, fires=99, fatal=True),))
         with faults.armed(plan):
-            with SupervisedPool(1, failure_threshold=2,
-                                breaker_cooldown_s=3600.0) as pool:
+            with SupervisedPool(1) as pool:
                 for i in range(2):
                     with pytest.raises(TaskFailed):
                         pool.submit(_square, i, key=f"b-{i}",
@@ -167,24 +169,29 @@ class TestChaosRunner:
 
 
 class TestSweepFailureSemantics:
-    def _run(self, strict):
-        from repro.experiments.sweep import run_sweep
+    def _run_failing_grid(self):
+        """Sweep a grid whose every cell fails permanently; return the
+        :class:`SweepError` the sweep raises once the grid finishes."""
+        from repro.experiments.sweep import SweepError, run_sweep
         from repro.workloads import get_workload
 
         plan = FaultPlan(seed=0, sites=(
             FaultSite("worker.error", rate=1.0, fires=99, fatal=True),))
         with faults.armed(plan):
-            return run_sweep([get_workload("add")], levels=(0, 4),
-                             widths=(1,), jobs=2, strict=strict)
+            with pytest.raises(SweepError) as ei:
+                run_sweep([get_workload("add")], levels=(0, 4),
+                          widths=(1,), jobs=2)
+        return ei.value
 
     def test_strict_sweep_raises_on_permanent_cell_failure(self):
-        from repro.experiments.sweep import SweepError
-
-        with pytest.raises(SweepError):
-            self._run(strict=True)
+        err = self._run_failing_grid()
+        assert "failed" in str(err)
 
     def test_lenient_sweep_records_failures_and_continues(self):
-        data = self._run(strict=False)
+        """The sweep runs past the first failed cell to the end of the
+        grid; the error carries the partial result with every failed
+        cell recorded."""
+        data = self._run_failing_grid().data
         assert len(data.failed) == 2            # both (add, level) cells
         assert data.results == {}
         assert data.resilience["tasks_failed"] == 2

@@ -4,8 +4,8 @@
 ``results/BENCH_optsched.json`` (written by
 ``benchmarks/bench_optsched_headroom.py``) report the same 40-loop
 experiment; a subset or stale table would contradict the benchmark.
-``results/CHAOS_cluster_report.json`` must agree with its own grid and
-checks.
+``results/CHAOS_report.json`` and ``results/CHAOS_cluster_report.json``
+must agree with their own grids and checks.
 """
 
 import json
@@ -66,3 +66,24 @@ def test_cluster_chaos_report_reconciles():
                        * len(grid["widths"]))
     half = configs // 2
     assert router["routed"] == half + (configs - half) + configs
+
+
+def test_chaos_report_reconciles():
+    """``repro chaos --plan all`` reconciles every injected fault, both
+    surfaces reproduce the whole grid, and every blob the armed sweep
+    wrote is either a quarantined torn blob or readable."""
+    report = json.loads((RESULTS / "CHAOS_report.json").read_text())
+    assert report["ok"]
+    assert all(c["ok"] for c in report["checks"]), report["checks"]
+    assert report["sweep"]["identical"] and report["serve"]["identical"]
+    grid = report["grid"]
+    configs = (len(grid["workloads"]) * len(grid["levels"])
+               * len(grid["widths"]))
+    checks = {c["check"]: c for c in report["checks"]}
+    for name in ("sweep results identical under faults",
+                 "served results identical under faults"):
+        assert checks[name]["expected"] == checks[name]["observed"] == configs
+    torn = checks["torn blobs quarantined on read"]
+    readable = checks["non-torn blobs all readable"]
+    assert torn["expected"] + readable["expected"] == configs
+    assert torn["observed"] + readable["observed"] == configs

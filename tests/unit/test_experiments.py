@@ -131,6 +131,22 @@ class TestRunConfig:
             w.reference = orig_ref
 
 
+class TestAblation:
+    def test_parallel_ablation_equals_serial(self):
+        from dataclasses import replace
+
+        from repro.experiments.ablation import run_ablation
+
+        wls = [get_workload("add"), get_workload("sum")]
+        kw = dict(level=Level.LEV3, width=8, passes=["combine", "strength"])
+        serial = run_ablation(wls, jobs=1, **kw)
+        parallel = run_ablation(wls, jobs=2, **kw)
+        assert serial.full_speedup and serial.contribution
+        assert replace(parallel, elapsed=0.0) == replace(serial, elapsed=0.0)
+        # submission order, not completion order, fixes the merge
+        assert list(parallel.contribution) == list(serial.contribution)
+
+
 class TestRenderers:
     def test_table1_text(self):
         text = render_table1()

@@ -1,6 +1,6 @@
 """Unit tests for the resilience layer: retry schedule, circuit
-breaker, error taxonomy, fault-plan determinism, tmp-file janitor,
-pool-worker lifetime.
+breaker, error taxonomy, fault-plan determinism, the chaos CLI,
+tmp-file janitor, pool-worker lifetime.
 
 Everything time-dependent runs on a fake clock / injected sleep; the
 one exception is the worker-lifetime test, which kills a real process
@@ -21,7 +21,6 @@ import pytest
 import repro
 
 from repro.resilience.errors import (
-    CorruptArtifact,
     FatalError,
     TransientError,
     classify_exception,
@@ -209,7 +208,6 @@ class TestTaxonomy:
 
     def test_exception_classes_map_onto_the_taxonomy(self):
         assert classify_exception(TransientError()) == "transient"
-        assert classify_exception(CorruptArtifact()) == "corrupt"
         assert classify_exception(FatalError()) == "fatal"
         assert classify_exception(ValueError("bug")) == "fatal"
         assert classify_exception(OSError(errno.EIO, "x")) == "transient"
@@ -306,6 +304,29 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
+# the chaos CLI
+# ---------------------------------------------------------------------------
+
+
+class TestChaosCli:
+    @pytest.mark.parametrize("flags", [["--plan", "kill"], ["--seed", "0"],
+                                       ["--no-serve"]])
+    def test_cluster_rejects_flags_it_would_ignore(self, flags, capsys,
+                                                   monkeypatch):
+        import repro.cluster.chaos as cluster_chaos
+        from repro.resilience.chaos import main
+
+        def never(**kw):
+            raise AssertionError("--cluster ran despite ignored flags")
+
+        monkeypatch.setattr(cluster_chaos, "run_cluster_chaos", never)
+        with pytest.raises(SystemExit) as ei:
+            main(["--cluster", *flags])
+        assert ei.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # orphaned-tmp janitor
 # ---------------------------------------------------------------------------
 
@@ -321,7 +342,7 @@ class TestCleanOrphanTmps:
         self._plant(tmp_path / ".hidden-123.tmp", age_s=3600, now=now)
         self._plant(tmp_path / "live.tmp", age_s=5, now=now)
         self._plant(tmp_path / "data.json", age_s=3600, now=now)
-        removed = clean_orphan_tmps(tmp_path, grace_s=600, now=now)
+        removed = clean_orphan_tmps(tmp_path, now=now)
         assert removed == 2
         assert not (tmp_path / "dead.tmp").exists()
         assert not (tmp_path / ".hidden-123.tmp").exists()
@@ -333,7 +354,7 @@ class TestCleanOrphanTmps:
         sub = tmp_path / "objects" / "ab"
         sub.mkdir(parents=True)
         self._plant(sub / "deep.tmp", age_s=3600, now=now)
-        assert clean_orphan_tmps(tmp_path, grace_s=600, now=now) == 1
+        assert clean_orphan_tmps(tmp_path, now=now) == 1
         assert not (sub / "deep.tmp").exists()
 
     def test_non_recursive_stays_shallow(self, tmp_path):
@@ -341,8 +362,7 @@ class TestCleanOrphanTmps:
         sub = tmp_path / "sub"
         sub.mkdir()
         self._plant(sub / "deep.tmp", age_s=3600, now=now)
-        assert clean_orphan_tmps(tmp_path, grace_s=600, recursive=False,
-                                 now=now) == 0
+        assert clean_orphan_tmps(tmp_path, recursive=False, now=now) == 0
         assert (sub / "deep.tmp").exists()
 
     def test_missing_directory_is_a_noop(self, tmp_path):

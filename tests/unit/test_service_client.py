@@ -1,14 +1,24 @@
-"""Clock-correctness units: ``Retry-After`` parsing (both RFC 9110
-forms) and monotonic job deadlines.
+"""Client and clock units: ``Retry-After`` parsing (both RFC 9110
+forms), the client's retry contract, and monotonic job deadlines.
 
-These pin the bugfix sweep's client/jobs halves: a server-suggested
-backoff must be honored whether it arrives as delta-seconds or an
-HTTP-date, and a job's deadline must be immune to wall-clock steps.
+A server-suggested backoff must be honored whether it arrives as
+delta-seconds or an HTTP-date, the client must retry exactly the
+failures it documents as retryable, and a job's deadline must be
+immune to wall-clock steps.
 """
 
 import time
 
-from repro.service.client import CLIENT_RETRY, ServiceClient, parse_retry_after
+import pytest
+
+from repro.service.client import (
+    CLIENT_RETRY,
+    ServiceClient,
+    ServiceOverloaded,
+    ServiceRequestError,
+    ServiceUnavailable,
+    parse_retry_after,
+)
 from repro.service.jobs import Job
 
 
@@ -61,6 +71,100 @@ class TestClientHeaders:
         assert c.headers == {"X-Repro-Hop": "route"}
         # the default retry policy is the shared one, unchanged
         assert c.retry is CLIENT_RETRY
+
+
+class TestRetryContract:
+    """``ServiceClient._call`` over a stubbed transport and a fake sleep:
+    which failures are retried, how long it waits, what it counts."""
+
+    def _client(self, monkeypatch, outcomes, **kw):
+        """A client whose transport yields ``outcomes`` in order (an
+        exception is raised, anything else returned).  Returns the
+        client, the list of transport calls and the list of sleeps."""
+        client = ServiceClient("http://127.0.0.1:1", **kw)
+        calls, slept = [], []
+        script = iter(outcomes)
+
+        def call_once(method, path, body=None):
+            calls.append((method, path))
+            out = next(script)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        monkeypatch.setattr(client, "_call_once", call_once)
+        monkeypatch.setattr(time, "sleep", slept.append)
+        return client, calls, slept
+
+    def test_unavailable_and_503_are_retried_until_success(self, monkeypatch):
+        client, calls, slept = self._client(monkeypatch, [
+            ServiceUnavailable("connection refused"),
+            ServiceRequestError(503, "cell quarantined"),
+            ServiceUnavailable("connection reset"),
+            {"ok": True},
+        ])
+        assert client.healthz() == {"ok": True}
+        assert len(calls) == 4
+        assert len(slept) == 3
+        # computed backoff: full jitter inside the policy's window
+        for attempt, d in enumerate(slept):
+            assert 0.0 <= d <= CLIENT_RETRY.max_delay(attempt)
+        assert client.retries == 3
+
+    def test_400_is_raised_at_once(self, monkeypatch):
+        client, calls, slept = self._client(monkeypatch, [
+            ServiceRequestError(400, "unknown workload"), {"ok": True}])
+        with pytest.raises(ServiceRequestError) as ei:
+            client.run("nope")
+        assert ei.value.status == 400
+        assert (len(calls), slept, client.retries) == (1, [], 0)
+
+    def test_429_is_not_retried_by_default(self, monkeypatch):
+        client, calls, slept = self._client(monkeypatch, [
+            ServiceOverloaded(429, "queue full"), {"ok": True}])
+        with pytest.raises(ServiceOverloaded):
+            client.run("add")
+        assert (len(calls), slept, client.retries) == (1, [], 0)
+
+    def test_429_is_retried_when_asked(self, monkeypatch):
+        client, calls, slept = self._client(monkeypatch, [
+            ServiceOverloaded(429, "queue full"),
+            ServiceOverloaded(429, "queue full"),
+            {"result": 1}], retry_overloaded=True)
+        assert client.run("add") == {"result": 1}
+        assert (len(calls), len(slept), client.retries) == (3, 2, 2)
+
+    def test_retry_after_replaces_the_computed_delay(self, monkeypatch):
+        client, _, slept = self._client(monkeypatch, [
+            ServiceOverloaded(429, "queue full", retry_after=2.5),
+            ServiceRequestError(503, "quarantined", retry_after=7.0),
+            {"result": 1}], retry_overloaded=True)
+        client.run("add")
+        assert slept == [2.5, 7.0]
+
+    def test_retries_accumulate_across_calls(self, monkeypatch):
+        client, _, _ = self._client(monkeypatch, [
+            ServiceUnavailable("down"), {"ok": True},
+            ServiceUnavailable("down"), ServiceUnavailable("down"),
+            {"ok": True}])
+        client.healthz()
+        client.healthz()
+        assert client.retries == 3
+
+    def test_exhausted_schedule_reraises(self, monkeypatch):
+        client, calls, slept = self._client(
+            monkeypatch, [ServiceUnavailable("down")] * 10)
+        with pytest.raises(ServiceUnavailable):
+            client.healthz()
+        assert len(calls) == CLIENT_RETRY.max_attempts
+        assert client.retries == len(slept) == CLIENT_RETRY.max_attempts - 1
+
+    def test_retry_none_makes_exactly_one_attempt(self, monkeypatch):
+        client, calls, slept = self._client(monkeypatch, [
+            ServiceUnavailable("down"), {"ok": True}], retry=None)
+        with pytest.raises(ServiceUnavailable):
+            client.healthz()
+        assert (len(calls), slept, client.retries) == (1, [], 0)
 
 
 class TestMonotonicDeadlines:
