@@ -2,8 +2,8 @@
 
 Used by register renaming (which values are live around the loop), by the
 superblock scheduler (what a side exit's target reads limits speculation),
-by the expansion transformations (exit fix-up code), and by register-usage
-measurement.
+by the expansion transformations (exit fix-up code), and — through its
+bitset core :func:`liveness_masks` — by register-usage measurement.
 
 Because simulated functions end by falling off the last block, registers
 that hold *results* read by the harness after the run would look dead.
@@ -71,6 +71,38 @@ def liveness(func: Function, live_out_exit: set[Reg] | None = None) -> Liveness:
                 lv.live_in[lab] = new_in
                 changed = True
     return lv
+
+
+def liveness_masks(
+    func: Function, gen: list[int], kill: list[int], exit_mask: int
+) -> tuple[list[int], list[int]]:
+    """Bitset core of :func:`liveness`: the same backward fixpoint over
+    int masks.  ``gen``/``kill`` are per-block masks in ``func.blocks``
+    order over the caller's dense register numbering, ``exit_mask`` the
+    registers live at function exit.  Returns per-block ``(live_in,
+    live_out)`` masks — the least fixpoint, so bit ``i`` is set exactly
+    when :func:`liveness` would put register ``i`` in the set."""
+    blocks = func.blocks
+    pos = {b.label: i for i, b in enumerate(blocks)}
+    succs = [[pos[s] for s in func.successors(b) if s in pos] for b in blocks]
+    live_in = list(gen)
+    live_out = [0 if ss else exit_mask for ss in succs]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(blocks) - 1, -1, -1):
+            ss = succs[i]
+            out = 0 if ss else exit_mask
+            for s in ss:
+                out |= live_in[s]
+            if out != live_out[i]:
+                live_out[i] = out
+                changed = True
+            new_in = gen[i] | (out & ~kill[i])
+            if new_in != live_in[i]:
+                live_in[i] = new_in
+                changed = True
+    return live_in, live_out
 
 
 def live_at_instr_positions(instrs, live_out: set[Reg]) -> list[set[Reg]]:

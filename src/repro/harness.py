@@ -371,7 +371,8 @@ class BatchedRunner:
         scalars: dict[str, float | int] | None = None,
         max_cycles: int = 200_000_000,
     ):
-        from .sim import compiled_program, exec_plan, execute_plan, replay, replay_spec
+        from .sim import ReplaySpec, compiled_program, exec_plan, execute_plan, replay
+        from .sim.replay import traced_rows
         from .sim.simulator import _bank_dict
 
         self._arrays_in = arrays
@@ -381,14 +382,13 @@ class BatchedRunner:
         mem, iregs, fregs = bind_inputs(ck.lowered, arrays, scalars)
         prog = compiled_program(ck.func, ck.machine, mem.symbols)
         self._plan = exec_plan(prog)
-        spec = replay_spec(self._plan, prog)  # validate before executing
+        self._rows = traced_rows(self._plan)
+        # validate before executing
+        spec = ReplaySpec(self._plan, prog.func, prog.machine, self._rows)
         self._segs, ivals, fvals = execute_plan(
             self._plan, mem, iregs, fregs, max_cycles
         )
-        self._symbols = mem.symbols
         self._replay = replay
-        self._replay_spec = replay_spec
-        self._compiled_program = compiled_program
         cycles, n_instr = replay(self._segs, spec, max_cycles)
         out_arrays, out_scalars = collect_outputs(
             ck.lowered, mem, _bank_dict(ivals), _bank_dict(fvals), scalars or {}
@@ -396,20 +396,23 @@ class BatchedRunner:
         self.arrays = out_arrays
         self.scalars = out_scalars
         self._first = KernelRun(cycles, n_instr, out_arrays, out_scalars)
-        self._first_prog = prog
+        self._first_ck = ck
 
     def run(self, ck: CompiledKernel) -> KernelRun:
         """Cycle/instruction counts for ``ck``'s machine, with the shared
         end-state outputs.  ``ck`` must be a reschedule of the traced
-        kernel (a width clone of the same transformed code)."""
-        from .sim import ReplayUnmapped, ReplayUnsupported
+        kernel (a width clone of the same transformed code).
+
+        The width's replay view is built from ``ck``'s block layout and
+        the timing rows the traced program already lowered — the program
+        is not lowered again per width."""
+        from .sim import ReplaySpec, ReplayUnmapped, ReplayUnsupported
 
         self.last_fallback = False
-        prog = self._compiled_program(ck.func, ck.machine, self._symbols)
-        if prog is self._first_prog:
+        if ck is self._first_ck:
             return self._first
         try:
-            spec = self._replay_spec(self._plan, prog)
+            spec = ReplaySpec(self._plan, ck.func, ck.machine, self._rows)
         except (ReplayUnmapped, ReplayUnsupported):
             self.last_fallback = True
             return run_compiled_kernel(

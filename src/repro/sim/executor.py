@@ -261,6 +261,7 @@ class CompiledProgram:
     def __init__(self, func: Function, machine: MachineConfig, symbols: dict[str, int]):
         self.func = func
         self.machine = machine
+        self.symbols = dict(symbols)
         self.blocks: list[CompiledBlock] = []
         self.index: dict[str, int] = {}
         for i, blk in enumerate(func.blocks):

@@ -44,9 +44,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..ir.function import Function
+from ..ir.instructions import Instr
+from ..machine import MachineConfig
 from .blockgen import FALL, ExecPlan
 from .errors import SimulationError
-from .executor import CompiledProgram
+from .executor import CONST, CompiledInstr, compile_instr
 
 #: categories that close an issue packet (branch/jump/halt)
 from .executor import C_BRANCH, C_HALT, C_JUMP
@@ -63,85 +66,106 @@ class ReplayUnmapped(Exception):
     program is not a reschedule of the traced one)."""
 
 
-class ReplaySpec:
-    """One target program's view of a plan's segments.
+def _timing_row(ci: CompiledInstr) -> tuple:
+    """What the packet loop needs of one lowered instruction:
+    ``(reg_source_keys, dest_key, latency, closes_packet)``, registers
+    packed to single ints (``bank << 24 | id``) so the in-flight dict is
+    int-keyed — no tuple allocation per lookup."""
+    rk = tuple((bank << 24) | key for bank, key in ci.srcs if bank != CONST)
+    dk = (ci.dest[0] << 24) | ci.dest[1] if ci.dest is not None else -1
+    return (rk, dk, ci.lat, ci.cat in _CTRL)
 
-    ``rows[s]`` is the tuple of timing rows the target machine issues
-    for segment ``s``: the target block's scheduled order up to and
-    including the exit instruction (located by identity — width clones
-    share instruction objects), or the whole block for a fall-through.
-    Each row is pre-slimmed to what the packet loop needs —
-    ``(reg_source_keys, dest_key, latency, closes_packet)`` with
-    registers packed to single ints (``bank << 24 | id``) so the
-    in-flight dict is int-keyed — no tuple allocation per lookup.
-    ``seg_len[s]`` is the per-width instruction count.
+
+def traced_rows(plan: ExecPlan) -> dict[int, tuple]:
+    """Timing rows of every instruction the traced program lowered, keyed
+    by instruction identity (the plan's lowered instructions keep every
+    keyed instruction alive, so no id is recycled while the plan lives)."""
+    return {id(ci.instr): _timing_row(ci) for ci in plan.instrs}
+
+
+class ReplaySpec:
+    """One target schedule's view of a plan's segments.
+
+    The target is ``func`` — the traced function or a reschedule of it
+    (a width clone sharing its instruction objects) — on ``machine``;
+    ``traced`` is the plan's :func:`traced_rows`.
+    ``rows[s]`` is the tuple of timing rows (see :func:`_timing_row`) the
+    target issues for segment ``s``: the target block's scheduled order up
+    to and including the exit instruction (located by identity), or the
+    whole block for a fall-through.  ``seg_len[s]`` is the per-width
+    instruction count.
+
+    Nothing is lowered again: a timing row depends on the instruction and
+    the machine's latencies only, so when ``machine`` shares the traced
+    machine's latencies each instruction's row is taken from the traced
+    program by identity.  An instruction the traced program did not lower
+    (or any instruction, under other latencies) is lowered on its own,
+    against the traced program's symbols.
     """
 
-    def __init__(self, plan: ExecPlan, prog: CompiledProgram):
-        machine = prog.machine
+    def __init__(self, plan: ExecPlan, func: Function, machine: MachineConfig,
+                 traced: dict[int, tuple]):
         if machine.slot_limits:
             raise ReplayUnsupported("per-kind slot limits")
         if min(machine.latencies.values()) < 1:
             raise ReplayUnsupported("latency below 1 cycle")
-        ep = plan.prog
-        if prog is not ep and prog.labels != ep.labels:
+        prog = plan.prog
+        self.labels = [b.label for b in func.blocks]
+        if self.labels != prog.labels:
             raise ReplayUnmapped("block structure differs")
         self.plan = plan
-        self.prog = prog
+        self.name = func.name
         self.width = machine.issue_width if machine.issue_width > 0 else 1 << 30
+        known = (traced if machine.latency_key() == prog.machine.latency_key()
+                 else {})
+
+        def row(ins: Instr) -> tuple:
+            r = known.get(id(ins))
+            if r is None:
+                r = _timing_row(compile_instr(ins, machine, prog.symbols))
+            return r
+
         rows: list[tuple] = []
         lens: list[int] = []
         pos_maps: dict[int, dict[int, int]] = {}
-        slim_cache: dict[int, list[tuple]] = {}
+        block_rows: dict[int, tuple] = {}
 
-        def slim(b: int) -> list[tuple]:
-            out = slim_cache.get(b)
+        def rows_of(b: int) -> tuple:
+            out = block_rows.get(b)
             if out is None:
-                out = slim_cache[b] = []
-                for cat, fn, srcs, rsrcs, db, di, lat, meta in prog.flat[b]:
-                    rk = tuple(
-                        (rsrcs[x] << 24) | rsrcs[x + 1]
-                        for x in range(0, len(rsrcs), 2)
-                    )
-                    dk = (db << 24) | di if db >= 0 else -1
-                    out.append((rk, dk, lat, cat in _CTRL))
+                out = block_rows[b] = tuple(map(row, func.blocks[b].instrs))
             return out
 
         for s, b in enumerate(plan.seg_block):
-            row = prog.flat[b]
             exit_ci = plan.seg_exit[s]
             if exit_ci is FALL:
-                rows.append(tuple(slim(b)))
-                lens.append(len(row))
+                out = rows_of(b)
             else:
                 pm = pos_maps.get(b)
                 if pm is None:
                     pm = pos_maps[b] = {
-                        id(r[7][2]): p for p, r in enumerate(row)
+                        id(ins): p for p, ins in enumerate(func.blocks[b].instrs)
                     }
                 p = pm.get(id(exit_ci.instr))
                 if p is None:
                     raise ReplayUnmapped(
                         f"exit {exit_ci.instr!r} not in target block "
-                        f"{prog.labels[b]}"
+                        f"{self.labels[b]}"
                     )
-                rows.append(tuple(slim(b)[: p + 1]))
-                lens.append(p + 1)
+                out = rows_of(b)[: p + 1]
+            rows.append(out)
+            lens.append(len(out))
         self.rows = rows
         self.seg_len = np.array(lens, dtype=np.int64)
 
 
-def replay_spec(plan: ExecPlan, prog: CompiledProgram) -> ReplaySpec:
-    """Memoized :class:`ReplaySpec` (cached on the target program; the
-    cache entry keeps the plan alive so its id cannot be recycled)."""
-    cache = getattr(prog, "_replay_specs", None)
-    if cache is None:
-        cache = prog._replay_specs = {}
-    hit = cache.get(id(plan))
-    if hit is not None:
-        return hit[1]
-    spec = ReplaySpec(plan, prog)
-    cache[id(plan)] = (plan, spec)
+def replay_spec(plan: ExecPlan) -> ReplaySpec:
+    """Memoized :class:`ReplaySpec` of the traced program itself."""
+    spec = getattr(plan, "_replay_spec", None)
+    if spec is None:
+        prog = plan.prog
+        spec = plan._replay_spec = ReplaySpec(plan, prog.func, prog.machine,
+                                              traced_rows(plan))
     return spec
 
 
@@ -212,8 +236,8 @@ def replay(
 
     rows = spec.rows
     width = spec.width
-    name = spec.prog.func.name
-    labels = spec.prog.labels
+    name = spec.name
+    labels = spec.labels
     seg_block = spec.plan.seg_block
     memo: dict = {}
     seen: dict = {}

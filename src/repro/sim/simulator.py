@@ -128,7 +128,7 @@ def run_traced(
     from .replay import replay, replay_spec
 
     plan = exec_plan(prog)
-    spec = replay_spec(plan, prog)  # validate machine before executing
+    spec = replay_spec(plan)  # validate machine before executing
     segs, ivals, fvals = execute_plan(plan, memory, iregs, fregs, max_cycles)
     cycles, n_instr = replay(segs, spec, max_cycles)
     return RunResult(cycles, n_instr, _bank_dict(ivals), _bank_dict(fvals),

@@ -5,11 +5,17 @@
 ``benchmarks/bench_optsched_headroom.py``) report the same 40-loop
 experiment; a subset or stale table would contradict the benchmark.
 ``results/CHAOS_report.json`` and ``results/CHAOS_cluster_report.json``
-must agree with their own grids and checks.
+must agree with their own grids and checks, and the register-usage
+figures must be what ``results/sweep.json`` renders to.
 """
 
 import json
 from pathlib import Path
+
+import pytest
+
+from repro.experiments.run_all import figure_texts
+from repro.experiments.sweep import load_sweep
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 RULE = "-" * 78
@@ -87,3 +93,20 @@ def test_chaos_report_reconciles():
     readable = checks["non-torn blobs all readable"]
     assert torn["expected"] + readable["expected"] == configs
     assert torn["observed"] + readable["observed"] == configs
+
+
+@pytest.fixture(scope="module")
+def rendered() -> dict[str, str]:
+    data = load_sweep(RESULTS / "sweep.json")
+    assert data is not None, "results/sweep.json is not a complete grid"
+    return figure_texts(data)
+
+
+@pytest.mark.parametrize("stem", ["fig11_regusage_issue8",
+                                  "fig13_regusage_doall",
+                                  "fig15_regusage_nondoall"])
+def test_register_usage_figures_match_sweep(rendered, stem):
+    """The committed register-usage figures (Figs. 11, 13, 15) are what
+    the committed ``results/sweep.json`` renders to."""
+    want = (RESULTS / f"{stem}.txt").read_text()
+    assert rendered[stem].strip() == want.strip()

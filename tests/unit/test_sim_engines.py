@@ -21,6 +21,9 @@ Three layers of evidence:
 
 from __future__ import annotations
 
+import copy
+import importlib
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,92 @@ class TestBatchedReplayVsFullSim:
             limited, arrays=arrays, scalars=scalars, engine="interp"
         )
         _assert_runs_equal(got, want, "slot-limit fallback")
+
+
+class TestLowerOncePerCell:
+    """A replayed cell lowers its program once: every width's replay view
+    reuses the traced width's per-instruction timing rows."""
+
+    CELLS = (("sum", Level.CONV),      # scalar loop
+             ("add", Level.LEV5),      # SLP-vectorized loop
+             ("maxval", Level.LEV4))   # superblock with side exits
+
+    @staticmethod
+    def _count_lowerings(monkeypatch) -> list:
+        # the package re-exports a ``replay`` function over the module name
+        replay = importlib.import_module("repro.sim.replay")
+        executor = importlib.import_module("repro.sim.executor")
+        calls = []
+        orig = executor.compile_instr
+
+        def counting(ins, machine, symbols):
+            calls.append(ins)
+            return orig(ins, machine, symbols)
+
+        monkeypatch.setattr(executor, "compile_instr", counting)
+        monkeypatch.setattr(replay, "compile_instr", counting)
+        return calls
+
+    @staticmethod
+    def _cell(name, level):
+        w = get_workload(name)
+        tk = ilp_transform(lower_conv(w.build()), level,
+                           MachineConfig(issue_width=1))
+        cks = [schedule_kernel(tk.clone(), MachineConfig(issue_width=width))
+               for width in WIDTHS]
+        return w.make_inputs(0), cks
+
+    @pytest.mark.parametrize("name,level", CELLS)
+    def test_one_program_lowered_per_cell(self, monkeypatch, name, level):
+        (arrays, scalars), cks = self._cell(name, level)
+        calls = self._count_lowerings(monkeypatch)
+        runner = BatchedRunner(cks[0], arrays, scalars)
+        got = [runner.run(ck) for ck in cks]
+        assert not runner.last_fallback
+        # exactly one CompiledProgram's worth of lowering: each
+        # instruction of the traced function, once
+        assert len(calls) == cks[0].func.n_instrs()
+        assert {id(i) for i in calls} == {id(i) for i in cks[0].func.iter_instrs()}
+        monkeypatch.undo()
+        for ck, run, width in zip(cks, got, WIDTHS):
+            want = run_compiled_kernel(ck, arrays=arrays, scalars=scalars)
+            assert (run.cycles, run.instructions) == (
+                want.cycles, want.instructions), f"{name}/{level.label}/w{width}"
+
+    def test_instruction_not_in_trace_is_lowered_alone(self, monkeypatch):
+        # a width whose schedule holds one instruction the traced program
+        # never lowered: that instruction alone is lowered, no fallback
+        (arrays, scalars), cks = self._cell("maxval", Level.LEV4)
+        ck = cks[-1]
+        blk = next(b for b in ck.func.blocks
+                   if any(i.dest is not None for i in b.instrs))
+        p = next(p for p, i in enumerate(blk.instrs) if i.dest is not None)
+        blk.instrs[p] = copy.copy(blk.instrs[p])
+        calls = self._count_lowerings(monkeypatch)
+        runner = BatchedRunner(cks[0], arrays, scalars)
+        n_traced = len(calls)
+        got = runner.run(ck)
+        assert not runner.last_fallback
+        assert calls[n_traced:] == [blk.instrs[p]]
+        monkeypatch.undo()
+        want = run_compiled_kernel(ck, arrays=arrays, scalars=scalars,
+                                   engine="interp")
+        _assert_runs_equal(got, want, "fresh instruction")
+
+    def test_unmapped_exit_still_falls_back(self):
+        (arrays, scalars), cks = self._cell("maxval", Level.LEV4)
+        ck = cks[-1]
+        # replace a side exit by an equal copy: the trace's exit has no
+        # position in this schedule any more
+        blk = next(b for b in ck.func.blocks if any(b.side_exits()))
+        ex = next(blk.side_exits())
+        blk.instrs[blk.instrs.index(ex)] = copy.copy(ex)
+        runner = BatchedRunner(cks[0], arrays, scalars)
+        got = runner.run(ck)
+        assert runner.last_fallback
+        want = run_compiled_kernel(ck, arrays=arrays, scalars=scalars,
+                                   engine="interp")
+        _assert_runs_equal(got, want, "unmapped exit fallback")
 
 
 def _run_both(text, machine=None, mem_fn=None, iregs=None, fregs=None, **kw):
