@@ -29,6 +29,9 @@ from repro.workloads import get_workload
 #: side exits, and two simulation-heavy nests (NAS-5, tomcatv-1)
 GRID_WORKLOADS = ("add", "dotprod", "sum", "maxval", "NAS-5", "tomcatv-1")
 GRID_LEVELS = tuple(Level)
+#: the seed engine predates Lev5: its interpreter has no vector
+#: register banks, so the engine comparison covers the paper's Conv..Lev4
+LEGACY_LEVELS = tuple(lv for lv in Level if lv <= Level.LEV4)
 GRID_WIDTHS = (1, 2, 4, 8)
 
 
@@ -64,14 +67,14 @@ def test_sweep_engine_speedup():
     t0 = time.perf_counter()
     old = {}
     for w in wls:
-        for level in GRID_LEVELS:
+        for level in LEGACY_LEVELS:
             for width in GRID_WIDTHS:
                 r = legacy_run_config(w, level, MachineConfig(issue_width=width))
                 old[(w.name, int(level), width)] = r
     t_old = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    new = run_sweep(wls, GRID_LEVELS, GRID_WIDTHS)
+    new = run_sweep(wls, LEGACY_LEVELS, GRID_WIDTHS)
     t_new = time.perf_counter() - t0
 
     # same grid, identical numbers
@@ -93,7 +96,7 @@ def test_sweep_engine_speedup():
     out = _update_bench({
         "grid": {
             "workloads": [w.name for w in wls],
-            "levels": [int(lv) for lv in GRID_LEVELS],
+            "levels": [int(lv) for lv in LEGACY_LEVELS],
             "widths": list(GRID_WIDTHS),
             "configs": len(old),
         },

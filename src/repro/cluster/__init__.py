@@ -14,8 +14,8 @@ owning shard ever after:
 * :mod:`repro.cluster.node` — the cluster node: the service handler
   plus ownership forwarding (a request for a key another node owns is
   proxied there, so every key funnels into exactly one engine's
-  single-flight table), steal-on-overload (a node past its soft-shed
-  threshold hands the computation to its least-loaded peer and lands
+  single-flight table), steal-on-overload (a node whose admission
+  control sheds a request hands it to its least-loaded peer and lands
   the artifact back in its own store), the ``/cluster/*`` peer
   protocol, and :class:`~repro.cluster.node.PeerClients`, the one
   helper every node-to-node and router-to-node call goes through.

@@ -17,7 +17,7 @@ cluster behaviors:
   locally instead (counted as ``failover_local`` — the recovery path
   the chaos oracle reconciles against).
 * **Work-stealing on overload.**  When admission control sheds a
-  request (pending queue past the soft-shed threshold), the node does
+  request (its pending queue is full), the node does
   not 429 immediately: it offers the computation to its least-loaded
   peer over ``POST /cluster/compute``, waits, lands the resulting
   artifact back on its *own* shard (it is the owner), and serves the
@@ -31,7 +31,7 @@ cluster behaviors:
 
       POST /cluster/compute   {kind, workload, level, width, ...}
                               compute here regardless of ownership
-      GET  /cluster/info      membership + load (queue depth, tiers)
+      GET  /cluster/info      membership + load (queue depth, limit)
 
 Hop headers (``X-Repro-Hop: forward|route|steal``) are loop guards: a
 request that already made one node-to-node (or router-to-node) hop is
@@ -296,7 +296,6 @@ class _NodeHandler(_Handler):
                 "node": cl.self_url,
                 "nodes": ring,
                 "queue_depth": self.engine.queue_depth,
-                "soft_pending": self.engine.soft_pending,
                 "max_pending": self.engine.max_pending,
                 "counters": cl.snapshot(),
                 "computed": self.engine.counters["computed"],
@@ -362,14 +361,12 @@ def make_node(
     store_dir: str | Path | None = None,
     jobs: int = 1,
     max_pending: int = 64,
-    max_store_bytes: int | None = None,
     default_timeout: float = 120.0,
     quiet: bool = True,
 ) -> tuple[ThreadingHTTPServer, JobEngine, ClusterState]:
     """Build (but do not start) one cluster node; port 0 picks a free
     port.  Call ``cluster.join(all_urls)`` once every node is bound."""
-    store = (ArtifactStore(Path(store_dir), max_bytes=max_store_bytes)
-             if store_dir is not None else None)
+    store = ArtifactStore(Path(store_dir)) if store_dir is not None else None
     engine = JobEngine(store=store, jobs=jobs, max_pending=max_pending,
                        default_timeout=default_timeout)
     cluster = ClusterState(engine)

@@ -32,6 +32,14 @@ class Function:
     )
     _next_label: int = 0
 
+    def __getstate__(self) -> dict:
+        # copies and pickles leave out the simulator's per-function
+        # program memo (``sim.executor.compiled_program``): its programs
+        # are bound to this object's instructions
+        state = self.__dict__.copy()
+        state.pop("_programs", None)
+        return state
+
     # -- construction -------------------------------------------------------
 
     def add_block(self, label: str | None = None, index: int | None = None) -> Block:

@@ -3,8 +3,9 @@
 Every I/O-adjacent failure in the sweep/store/service stack falls into
 one of two classes, and the handling rule is uniform:
 
-* **Transient** — the operation may succeed if retried (``ENOSPC`` after
-  eviction, ``EIO`` on a flaky disk, ``EAGAIN``, a dropped connection).
+* **Transient** — the operation may succeed if retried (``ENOSPC``
+  once space frees up, ``EIO`` on a flaky disk, ``EAGAIN``, a dropped
+  connection).
   Retried under a :class:`~repro.resilience.retry.RetryPolicy`; if the
   budget runs out the caller degrades (e.g. a result is served but not
   persisted) instead of crashing.
@@ -16,10 +17,8 @@ Damaged *data* (a torn blob, an undecodable journal line) is not an
 exception class: the reader that finds it quarantines or skips it
 inline and the result is recomputed.
 
-The classifier below maps ``OSError`` values onto the taxonomy; the
-store's eviction path and the job engine's admission/persist paths used
-to treat *any* ``OSError`` as fatal — now only genuinely fatal ones
-propagate, the rest are logged and counted.
+The classifier below maps ``OSError`` values onto the taxonomy: only
+genuinely fatal ones propagate, the rest are logged and counted.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ class FatalError(Exception):
     """Unrecoverable: must propagate to the operator."""
 
 
-#: errno values where retrying (possibly after eviction/backoff) is sane
+#: errno values where retrying (possibly after a backoff) is sane
 TRANSIENT_ERRNOS = frozenset({
     errno.ENOSPC, errno.EDQUOT, errno.EIO, errno.EAGAIN, errno.EINTR,
     errno.EBUSY, errno.ETIMEDOUT, errno.EMFILE, errno.ENFILE,
@@ -49,7 +48,7 @@ TRANSIENT_ERRNOS = frozenset({
 def classify_os_error(exc: OSError) -> str:
     """``"transient"`` or ``"fatal"`` for an ``OSError``.
 
-    ``ENOENT`` during cleanup/eviction is transient (another process
+    ``ENOENT`` during cleanup is transient (another process
     already removed the file — the desired state holds); ``EACCES`` /
     ``EROFS`` / ``EPERM`` are fatal (retrying cannot fix permissions).
     """

@@ -10,7 +10,7 @@ requests in, cached or freshly computed artifacts out.
 * :mod:`repro.service.store` — a content-addressed on-disk artifact
   store (SHA-256 keys over canonicalized kernel source + machine
   config + level + disable set + code-version salt) with atomic
-  writes, LRU size-capped eviction, and corruption-tolerant reads.
+  writes and corruption-tolerant reads, safe to share across threads.
 * :mod:`repro.service.jobs` — the async job engine: single-flight
   deduplication of identical in-flight requests, batching of
   compatible requests onto one width-sharded compilation, bounded

@@ -16,21 +16,19 @@ server's error string).  Transport failures and 503 (quarantined cell)
 are retried under the shared :class:`~repro.resilience.retry.RetryPolicy`
 — safe because every request is idempotent by canonical key; 429 is
 retried only when ``retry_overloaded=True`` (by default shedding is a
-signal the caller should see).  ``Retry-After`` headers override the
-computed backoff, in both RFC 9110 forms — delta-seconds *and*
-HTTP-date (:func:`parse_retry_after`).  Used by ``repro submit``, ``experiments/sweep.py``
-clients, and ``examples/service_client.py``.
+signal the caller should see).  A ``Retry-After`` header overrides the
+computed backoff; the service only ever sends its delta-seconds form
+(:func:`parse_retry_after`).  Used by ``repro submit``,
+``experiments/sweep.py`` clients, and ``examples/service_client.py``.
 """
 
 from __future__ import annotations
 
-import email.utils
 import http.client
 import json
 import time
 import urllib.error
 import urllib.request
-from datetime import datetime, timezone
 
 from ..resilience.retry import RetryPolicy, retry_call
 
@@ -41,37 +39,19 @@ CLIENT_RETRY = RetryPolicy(max_attempts=5, base_s=0.05, cap_s=2.0,
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
-def parse_retry_after(value: str | None, *, now: float | None = None
-                      ) -> float | None:
+def parse_retry_after(value: str | None) -> float | None:
     """Seconds of server-suggested backoff from a ``Retry-After`` header.
 
-    RFC 9110 §10.2.3 allows two forms: non-negative *delta-seconds*
-    (``"5"``) and an *HTTP-date* (``"Fri, 08 Aug 2026 12:00:00 GMT"``).
-    Returns the delay in seconds (a past date clamps to ``0.0``), or
-    ``None`` for a missing/unparseable header.  ``now`` (a POSIX
-    timestamp) is injectable so tests don't race the real clock; the
-    date arithmetic itself is a difference of two wall-clock readings
-    taken at the same instant, so a clock *step* before the call cannot
-    produce a bogus huge delay the way a persisted timestamp would.
+    Only the *delta-seconds* form (``"5"``, negative clamps to ``0.0``)
+    is read: every server in this package sends that form.  ``None``
+    for a missing header or any other form (including an HTTP-date).
     """
     if value is None:
         return None
-    value = value.strip()
     try:
         return max(0.0, float(value))
     except ValueError:
-        pass
-    try:
-        when = email.utils.parsedate_to_datetime(value)
-    except (TypeError, ValueError):
         return None
-    if when is None:
-        return None
-    if when.tzinfo is None:  # RFC 5322 parse of a legacy date w/o zone
-        when = when.replace(tzinfo=timezone.utc)
-    if now is None:
-        now = time.time()
-    return max(0.0, when.timestamp() - now)
 
 
 class ServiceRequestError(RuntimeError):

@@ -29,14 +29,12 @@ Request lifecycle::
   joins the cell before it fires is evaluated as one cell by the sweep's
   :func:`~repro.experiments.sweep.evaluate_cell` — one compilation,
   scheduled per width, a ``run`` cell executed once and replayed.
-* **Admission control, tiered** — at most ``max_pending`` accepted-but-
-  unfinished configurations; past that, new requests are *shed*
-  (:class:`Overloaded`, surfaced as HTTP 429).  Shedding is tiered:
-  expensive sweep requests are shed earlier, at ``soft_pending``
-  (75% of ``max_pending``), keeping headroom so cheap single
-  requests survive a burst.  A sweep request is admitted or shed
-  atomically for all the configurations it expands to, so one oversized
-  sweep cannot wedge the queue.
+* **Admission control** — at most ``max_pending`` accepted-but-
+  unfinished configurations, singles and sweeps alike; past that, new
+  requests are *shed* (:class:`Overloaded`, surfaced as HTTP 429).  A
+  sweep request is admitted or shed atomically for all the
+  configurations it expands to, so one oversized sweep cannot wedge the
+  queue.
 * **Timeouts** — each request carries a deadline
   (``default_timeout`` unless overridden), stamped and enforced on
   ``time.monotonic()`` so an NTP/wall-clock step can neither expire a
@@ -54,7 +52,9 @@ Request lifecycle::
   503) until the cooldown's half-open probe heals it.
 * **Degraded reads** — :meth:`JobEngine.degraded_lookup` serves a
   result straight from the artifact store when admission sheds a
-  request; the server marks such responses ``"degraded": true``.
+  request; the server marks such responses ``"degraded": true``.  The
+  store handle is thread-safe, so this read (and
+  :meth:`JobEngine.store_put`) runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -233,8 +233,6 @@ class JobEngine:
     ):
         self.store = store
         self.max_pending = max_pending
-        #: sweep admission tier: sweeps shed here, singles at max_pending
-        self.soft_pending = max(1, (max_pending * 3) // 4)
         self.default_timeout = default_timeout
         # the supervised pool forks its workers in its constructor —
         # before the loop / HTTP threads exist, since forking a
@@ -265,16 +263,13 @@ class JobEngine:
 
     # -- admission ------------------------------------------------------
 
-    def _admit(self, n: int, kind: str = "single") -> None:
-        # tiered shedding: a sweep (n configurations at once) is shed at
-        # the soft tier, keeping headroom for cheap single requests
-        limit = self.soft_pending if kind == "sweep" else self.max_pending
+    def _admit(self, n: int) -> None:
         with self._lock:
-            if self._pending + n > limit:
+            if self._pending + n > self.max_pending:
                 self.counters["shed"] += 1
                 raise Overloaded(
                     f"queue full: {self._pending} pending + {n} requested "
-                    f"> {limit} {kind} capacity"
+                    f"> {self.max_pending} capacity"
                 )
             self._pending += n
 
@@ -330,7 +325,7 @@ class JobEngine:
                    "widths": list(widths), "seed": int(seed),
                    "check": bool(check), "check_ir": bool(check_ir),
                    "disable": sorted(set(disable)), "configs": n}
-        self._admit(n, "sweep")
+        self._admit(n)
         self.counters["requests"] += 1
         self.counters["sweeps"] += 1
         job = self._new_job("sweep", request)
@@ -498,22 +493,11 @@ class JobEngine:
         Called by the server when admission control rejects a request:
         a previously computed (possibly stale-version-adjacent) result
         beats a 429 for read-mostly clients.  Returns None when nothing
-        is stored — the caller sheds for real.  The read is bounced onto
-        the engine loop because the store handle is not internally
-        locked.
+        is stored — the caller sheds for real.
         """
         if self.store is None or self._closed:
             return None
-        key = _request_key(kind, req)
-
-        async def _read():
-            return self.store.get(key)
-
-        try:
-            cached = asyncio.run_coroutine_threadsafe(
-                _read(), self._loop).result(timeout=5.0)
-        except Exception:
-            return None
+        cached = self.store.get(_request_key(kind, req))
         if cached is not None:
             with self._lock:
                 self._degraded_serves += 1
@@ -521,20 +505,11 @@ class JobEngine:
 
     def store_put(self, key: str, payload: dict) -> bool:
         """Persist a payload computed *elsewhere* into this node's store
-        shard (thread-safe: bounced onto the engine loop, which owns the
-        store handle).  The cluster layer uses this to land work-stolen
-        and forwarded results on the key's owning shard."""
+        shard.  The cluster layer uses this to land work-stolen and
+        forwarded results on the key's owning shard."""
         if self.store is None or self._closed:
             return False
-
-        async def _write():
-            return self.store.put(key, payload) is not None
-
-        try:
-            return asyncio.run_coroutine_threadsafe(
-                _write(), self._loop).result(timeout=10.0)
-        except Exception:
-            return False
+        return self.store.put(key, payload) is not None
 
     # -- metrics --------------------------------------------------------
 

@@ -293,13 +293,11 @@ def make_server(
     store_dir: str | Path | None = None,
     jobs: int = 1,
     max_pending: int = 64,
-    max_store_bytes: int | None = None,
     default_timeout: float = 120.0,
     quiet: bool = True,
 ) -> tuple[ThreadingHTTPServer, JobEngine]:
     """Build (but do not start) the service; port 0 picks a free port."""
-    store = (ArtifactStore(Path(store_dir), max_bytes=max_store_bytes)
-             if store_dir is not None else None)
+    store = ArtifactStore(Path(store_dir)) if store_dir is not None else None
     engine = JobEngine(store=store, jobs=jobs, max_pending=max_pending,
                        default_timeout=default_timeout)
     handler = type("Handler", (_Handler,), {"engine": engine, "quiet": quiet})
@@ -333,8 +331,6 @@ def main(argv=None) -> int:
                     help="compile/simulate worker processes (default: 1)")
     ap.add_argument("--max-pending", type=int, default=64, metavar="N",
                     help="admission-control queue bound (default: 64)")
-    ap.add_argument("--max-store-bytes", type=int, default=None, metavar="B",
-                    help="LRU-evict the store past this size (default: off)")
     ap.add_argument("--timeout", type=float, default=120.0,
                     help="default per-request deadline in seconds")
     ap.add_argument("--fault-plan", metavar="FILE", default=None,
@@ -354,7 +350,6 @@ def main(argv=None) -> int:
     httpd, engine = make_server(
         host=args.host, port=args.port, store_dir=args.store,
         jobs=args.jobs, max_pending=args.max_pending,
-        max_store_bytes=args.max_store_bytes,
         default_timeout=args.timeout, quiet=not args.verbose,
     )
     host, port = httpd.server_address[:2]

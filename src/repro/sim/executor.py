@@ -17,7 +17,6 @@ Floating point is IEEE double.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from ..ir.block import Block
@@ -309,10 +308,7 @@ class CompiledProgram:
         self.n_vfregs = nregs[VFP_BANK]
 
 
-#: per-function memo of CompiledPrograms, keyed by machine + symbol table +
-#: an instruction-identity fingerprint (weak on the function, so programs
-#: die with their function)
-_PROGRAM_CACHE: "weakref.WeakKeyDictionary[Function, dict]" = weakref.WeakKeyDictionary()
+#: per-function memo bound: programs kept per function before a reset
 _PROGRAM_CACHE_LIMIT = 8
 
 
@@ -335,10 +331,9 @@ def compiled_program(
         tuple(b.label for b in func.blocks),
         tuple(map(id, func.iter_instrs())),
     )
-    per_func = _PROGRAM_CACHE.get(func)
-    if per_func is None:
-        per_func = {}
-        _PROGRAM_CACHE[func] = per_func
+    # the memo lives on the function, so it dies with it (each program
+    # refers back to its function: a global map would keep both alive)
+    per_func = func.__dict__.setdefault("_programs", {})
     prog = per_func.get(key)
     if prog is None:
         if len(per_func) >= _PROGRAM_CACHE_LIMIT:

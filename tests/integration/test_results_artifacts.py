@@ -102,11 +102,23 @@ def rendered() -> dict[str, str]:
     return figure_texts(data)
 
 
-@pytest.mark.parametrize("stem", ["fig11_regusage_issue8",
-                                  "fig13_regusage_doall",
-                                  "fig15_regusage_nondoall"])
+#: every artifact ``figure_texts`` renders from the sweep
+FIGURE_STEMS = (
+    "fig08_speedup_issue2", "fig09_speedup_issue4", "fig10_speedup_issue8",
+    "fig11_regusage_issue8", "fig12_speedup_doall", "fig13_regusage_doall",
+    "fig14_speedup_nondoall", "fig15_regusage_nondoall",
+    "headline_claims", "table1_latencies", "table2_corpus",
+)
+
+
+def test_every_rendered_figure_is_gated(rendered):
+    assert sorted(rendered) == sorted(FIGURE_STEMS)
+
+
+@pytest.mark.parametrize("stem", FIGURE_STEMS)
 def test_register_usage_figures_match_sweep(rendered, stem):
-    """The committed register-usage figures (Figs. 11, 13, 15) are what
-    the committed ``results/sweep.json`` renders to."""
+    """Every committed figure and table rendered from the sweep (the
+    register-usage Figs. 11, 13, 15 included) is what the committed
+    ``results/sweep.json`` renders to."""
     want = (RESULTS / f"{stem}.txt").read_text()
     assert rendered[stem].strip() == want.strip()

@@ -154,6 +154,25 @@ class TestEndpoints:
         assert m["store"]["bytes"] > 0
 
 
+class TestAdmissionLimit:
+    def test_sweep_and_single_share_one_limit(self):
+        """``max_pending`` bounds singles and sweeps alike: with no
+        capacity, even a one-configuration sweep is shed."""
+        httpd, engine, url = serve_background(jobs=1, max_pending=0)
+        try:
+            client = ServiceClient(url, retry=None)
+            with pytest.raises(ServiceOverloaded) as ei:
+                client.sweep(["add"], levels=[0], widths=[1])
+            assert ei.value.status == 429
+            assert ei.value.retry_after == 1.0
+            with pytest.raises(ServiceOverloaded):
+                client.run("add", level=0, width=1)
+            assert client.metrics()["shed"] == 2
+        finally:
+            httpd.shutdown()
+            engine.close()
+
+
 class TestServedResultsMatchOracle:
     """Acceptance: served ``/v1/run`` results for the oracle kernels match
     the differential oracle (golden interpretation of the *unoptimized*

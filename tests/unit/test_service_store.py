@@ -2,7 +2,7 @@
 
 A persistent cache layer is only safe if every way it can rot degrades
 to a *miss* (recompute) rather than serving garbage: concurrent
-writers, torn blobs, size-pressure eviction, and code-version changes
+writers (processes and threads), torn blobs, and code-version changes
 are each pinned here.
 """
 
@@ -58,6 +58,11 @@ class TestRoundTrip:
         assert b.get(key_of(3)) == {"x": 1}
         assert len(b) == 1
 
+    def test_len_and_total_bytes_scan_objects(self, store):
+        paths = [store.put(key_of(i), {"i": i}) for i in range(40, 60)]
+        assert len(store) == 20
+        assert store.total_bytes() == sum(p.stat().st_size for p in paths)
+
 
 class TestCorruptionTolerance:
     def _blob_path(self, store, key):
@@ -102,7 +107,10 @@ class TestCorruptionTolerance:
         p.write_text(json.dumps({"salt": store.salt, "key": k}))
         assert store.get(k) is None
 
-    def test_torn_index_rebuilt_from_scan(self, tmp_path):
+    def test_stray_index_file_is_ignored(self, tmp_path):
+        """A store directory written by an older version carries an
+        ``index.json`` (possibly torn); the handle keeps no index and
+        neither reads nor needs it."""
         a = ArtifactStore(tmp_path / "s")
         a.put(key_of(9), {"v": 1})
         a.put(key_of(10), {"v": 2})
@@ -129,42 +137,6 @@ class TestVersionSalt:
         from repro.service.keys import CODE_VERSION
 
         assert store.salt == CODE_VERSION
-
-
-class TestEviction:
-    def test_size_cap_evicts_lru(self, tmp_path):
-        store = ArtifactStore(tmp_path / "s", max_bytes=1)
-        pad = "x" * 200
-        store.put(key_of(20), {"pad": pad})
-        store.put(key_of(21), {"pad": pad})
-        # cap of 1 byte: every insert evicts the previous entry
-        assert store.get(key_of(20)) is None
-        assert store.get(key_of(21)) == {"pad": pad}
-        assert store.stats.evictions >= 1
-
-    def test_reads_refresh_recency(self, tmp_path):
-        import time
-
-        # each blob is ~3.1KB with its envelope: two fit, three do not
-        store = ArtifactStore(tmp_path / "s", max_bytes=7_000)
-        pad = "x" * 3000
-        store.put(key_of(30), {"pad": pad})
-        time.sleep(0.01)
-        store.put(key_of(31), {"pad": pad})
-        time.sleep(0.01)
-        assert store.get(key_of(30)) is not None  # 30 now most recent
-        time.sleep(0.01)
-        store.put(key_of(32), {"pad": pad})  # pushes size past the cap
-        assert store.get(key_of(31)) is None  # 31 was least recently used
-        assert store.get(key_of(30)) is not None
-        assert store.get(key_of(32)) is not None
-
-    def test_unbounded_store_never_evicts(self, store):
-        for i in range(40, 60):
-            store.put(key_of(i), {"i": i})
-        assert len(store) == 20
-        assert store.stats.evictions == 0
-        assert store.total_bytes() > 0
 
 
 def _writer(root, key, tag, n):
@@ -206,6 +178,59 @@ class TestConcurrentWriters:
         for j in range(4):
             got = reader.get(key_of(80 + j))
             assert got == {"tag": str(j), "i": 4, "cycles": 123}
+
+
+class TestSharedHandleThreads:
+    """One handle shared by many threads of a process (the job engine's
+    loop, HTTP handler threads and cluster steal threads all use one)."""
+
+    @staticmethod
+    def _run_threads(n, target):
+        import threading
+
+        barrier = threading.Barrier(n)
+        errors = []
+
+        def run(t):
+            barrier.wait()
+            try:
+                target(t)
+            except BaseException as e:  # surfaced by the assert below
+                errors.append(e)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert errors == []
+
+    def test_eight_threads_same_sixteen_keys(self, store):
+        keys = [key_of(200 + i) for i in range(16)]
+
+        def work(t):
+            for i, k in enumerate(keys):
+                store.put(k, {"i": i, "cycles": 123})
+                assert store.get(k) == {"i": i, "cycles": 123}
+
+        self._run_threads(8, work)
+        assert store.stats.puts == 8 * 16
+        assert store.stats.hits == 8 * 16
+        assert store.stats.quarantined == 0
+        for i, k in enumerate(keys):
+            assert store.get(k) == {"i": i, "cycles": 123}
+        assert not list(store.root.glob("**/*.tmp"))
+
+    def test_concurrent_readers_quarantine_a_blob_once(self, store):
+        k = key_of(220)
+        p = store._blob_path(k)
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_bytes(b"\xfe\xffnot json")
+
+        self._run_threads(8, lambda t: store.get(k))
+        assert store.stats.misses == 8
+        assert store.stats.quarantined == 1
+        assert len(list((store.root / "quarantine").iterdir())) == 1
 
 
 class TestStoreResilience:
@@ -262,23 +287,6 @@ class TestStoreResilience:
         with pytest.raises(OSError):
             store.put(key_of(94), {"v": 5})
 
-    def test_transient_eviction_error_is_absorbed(self, store, monkeypatch):
-        import errno as _errno
-        import pathlib
-
-        store.max_bytes = 1  # force eviction on the next put
-        store.put(key_of(95), {"v": "a" * 64})
-        real_unlink = pathlib.Path.unlink
-
-        def busy(self, *a, **kw):
-            if self.suffix == ".json" and "objects" in self.parts:
-                raise OSError(_errno.EBUSY, "busy")
-            return real_unlink(self, *a, **kw)
-
-        monkeypatch.setattr(pathlib.Path, "unlink", busy)
-        store.put(key_of(96), {"v": "b" * 64})   # evicts -> EBUSY absorbed
-        assert store.stats.evict_errors >= 1
-
     def test_orphaned_tmps_cleaned_on_open(self, tmp_path):
         import os as _os
 
@@ -295,87 +303,3 @@ class TestStoreResilience:
         assert s.stats.tmp_cleaned == 1
         assert not dead.exists()
         assert fresh.exists()
-
-
-class TestClockCorrectness:
-    """LRU recency is a logical-use counter, never a wall-clock stamp.
-
-    Regression: recency used to be ``time.time()``; a backwards clock
-    step (NTP correction, manual reset) between a put and a refreshing
-    read stamped the *hottest* blob as the oldest and evicted it first.
-    """
-
-    def test_recency_survives_a_backwards_wall_clock(self, tmp_path,
-                                                     monkeypatch):
-        import time as time_mod
-
-        t = [1_000_000_000.0]
-
-        def backwards():
-            t[0] -= 100.0  # the wall clock is stepping backwards
-            return t[0]
-
-        monkeypatch.setattr(time_mod, "time", backwards)
-        store = ArtifactStore(tmp_path / "s", max_bytes=7_000)
-        pad = "x" * 3000  # ~3.1KB with envelope: two fit, three do not
-        store.put(key_of(70), {"pad": pad})
-        store.put(key_of(71), {"pad": pad})
-        assert store.get(key_of(70)) is not None  # 70 now most recent
-        store.put(key_of(72), {"pad": pad})       # pushes past the cap
-        # under wall-clock recency the refreshed 70 would carry the
-        # *oldest* stamp and be evicted; the logical counter keeps it
-        assert store.get(key_of(71)) is None
-        assert store.get(key_of(70)) is not None
-        assert store.get(key_of(72)) is not None
-
-    def test_use_counter_persists_across_reopen(self, tmp_path):
-        pad = "x" * 3000  # ~3.1KB with envelope: three fit, four do not
-        store = ArtifactStore(tmp_path / "s", max_bytes=10_500)
-        store.put(key_of(73), {"pad": pad})
-        store.put(key_of(74), {"pad": pad})
-        assert store.get(key_of(73)) is not None  # 74 is now the LRU
-        store.put(key_of(75), {"pad": pad})       # persists the index
-
-        reopened = ArtifactStore(tmp_path / "s", max_bytes=10_500)
-        reopened.put(key_of(79), {"pad": pad})    # past the cap: evict LRU
-        assert reopened.get(key_of(74)) is None
-        assert reopened.get(key_of(73)) is not None
-        assert reopened.get(key_of(75)) is not None
-
-    def test_legacy_wall_clock_index_loads_as_rank(self, tmp_path):
-        """An index written by the old code carries wall-clock floats in
-        ``used``; they load as a recency *rank* (order preserved) and
-        are re-stamped as logical counters."""
-        pad = "x" * 3000
-        store = ArtifactStore(tmp_path / "s", max_bytes=7_000)
-        store.put(key_of(76), {"pad": pad})
-        store.put(key_of(77), {"pad": pad})
-        # rewrite the index the way the old code would have: wall-clock
-        # stamps, with 77 older than 76
-        idx = json.loads((tmp_path / "s" / "index.json").read_text())
-        idx["entries"][key_of(76)]["used"] = 1_700_000_000.75
-        idx["entries"][key_of(77)]["used"] = 1_600_000_000.25
-        (tmp_path / "s" / "index.json").write_text(json.dumps(idx))
-
-        reopened = ArtifactStore(tmp_path / "s", max_bytes=7_000)
-        reopened.put(key_of(78), {"pad": pad})
-        assert reopened.get(key_of(77)) is None   # oldest by float order
-        assert reopened.get(key_of(76)) is not None
-
-    def test_scan_rebuild_ranks_deterministically_by_mtime(self, tmp_path):
-        import os as _os
-
-        pad = "x" * 3000
-        store = ArtifactStore(tmp_path / "s", max_bytes=None)
-        for i in (80, 81, 82):
-            store.put(key_of(i), {"pad": pad})
-        (tmp_path / "s" / "index.json").unlink()
-        # make 81 the stale one on disk, regardless of write order
-        for i, mtime in ((80, 3000.0), (81, 1000.0), (82, 2000.0)):
-            p = store._blob_path(key_of(i))
-            _os.utime(p, (mtime, mtime))
-
-        rebuilt = ArtifactStore(tmp_path / "s", max_bytes=7_000)
-        rebuilt.put(key_of(83), {"pad": pad})
-        assert rebuilt.get(key_of(81)) is None
-        assert rebuilt.get(key_of(80)) is not None

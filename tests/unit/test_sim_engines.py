@@ -233,6 +233,44 @@ class TestLowerOncePerCell:
         _assert_runs_equal(got, want, "unmapped exit fallback")
 
 
+class TestProgramMemoLifetime:
+    """The simulator's per-function program memo neither outlives its
+    function nor travels with a copy of it."""
+
+    @staticmethod
+    def _simulated(name="add", level=Level.LEV4, width=8):
+        w = get_workload(name)
+        machine = MachineConfig(issue_width=width)
+        ck = schedule_kernel(
+            ilp_transform(lower_conv(w.build()), level, machine), machine)
+        arrays, scalars = w.make_inputs(0)
+        run_compiled_kernel(ck, arrays=arrays, scalars=scalars)
+        return ck
+
+    def test_simulated_function_dies_with_its_last_reference(self):
+        import gc
+        import weakref
+
+        refs = []
+        for _ in range(3):
+            ck = self._simulated()
+            refs.append(weakref.ref(ck.func))
+            del ck
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_memo_is_reused_but_not_copied(self):
+        from repro.sim.executor import compiled_program
+
+        ck = self._simulated()
+        memo = ck.func.__dict__["_programs"]
+        prog, = memo.values()
+        machine = MachineConfig(issue_width=8)
+        symbols = dict(next(iter(memo))[1])
+        assert compiled_program(ck.func, machine, symbols) is prog
+        assert "_programs" not in copy.deepcopy(ck.func).__dict__
+
+
 def _run_both(text, machine=None, mem_fn=None, iregs=None, fregs=None, **kw):
     """Run one assembly function under both engines; returns (interp,
     compiled) results or raises after asserting error parity."""
